@@ -112,7 +112,7 @@ fn bench_match_kernel(c: &mut Criterion) {
     // tight best-so-far levels the real pipeline sees once a pattern
     // finds its occurrence.
     for (k, n) in [(16usize, 2048usize), (32, 4096)] {
-        use rpm_core::{prepare_patterns, transform_set_plans_engine, Engine, MatchKernel};
+        use rpm_core::{prepare_patterns, transform_set_plans_engine_counted, Engine, MatchKernel};
         let master = synthetic_series(n, 97);
         let patterns: Vec<Vec<f64>> = (0..k)
             .map(|i| {
@@ -136,14 +136,30 @@ fn bench_match_kernel(c: &mut Criterion) {
         let engine = Engine::serial();
         g.bench_function(format!("transform_rolling_k{k}"), |b| {
             b.iter(|| {
-                transform_set_plans_engine(black_box(&batch), &rolling_plans, false, true, &engine)
-                    .unwrap()
+                let batch = black_box(&batch);
+                transform_set_plans_engine_counted(
+                    batch,
+                    &rolling_plans,
+                    false,
+                    true,
+                    &engine,
+                    None,
+                )
+                .unwrap()
             })
         });
         g.bench_function(format!("transform_batched_k{k}"), |b| {
             b.iter(|| {
-                transform_set_plans_engine(black_box(&batch), &batched_plans, false, true, &engine)
-                    .unwrap()
+                let batch = black_box(&batch);
+                transform_set_plans_engine_counted(
+                    batch,
+                    &batched_plans,
+                    false,
+                    true,
+                    &engine,
+                    None,
+                )
+                .unwrap()
             })
         });
     }
@@ -309,7 +325,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     g.bench_function("predict_untraced", |b| {
         b.iter(|| {
             model
-                .predict_batch_traced(black_box(&batch), Parallelism::Serial, None)
+                .predict_batch_with(black_box(&batch), Parallelism::Serial, None)
                 .expect("predict")
         })
     });
@@ -317,7 +333,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     g.bench_function("predict_counted", |b| {
         b.iter(|| {
             model
-                .predict_batch_traced(black_box(&batch), Parallelism::Serial, Some(&counters))
+                .predict_batch_with(black_box(&batch), Parallelism::Serial, Some(&counters))
                 .expect("predict")
         })
     });
@@ -382,7 +398,7 @@ fn bench_drift_overhead(c: &mut Criterion) {
     g.bench_function("predict_traced", |b| {
         b.iter(|| {
             model
-                .predict_batch_traced(black_box(&batch), Parallelism::Serial, Some(&counters))
+                .predict_batch_with(black_box(&batch), Parallelism::Serial, Some(&counters))
                 .expect("predict")
         })
     });

@@ -7,7 +7,7 @@ use rpm_baselines::{
     Classifier, FastShapelets, FastShapeletsParams, LearningShapelets, LearningShapeletsParams,
     OneNnDtw, OneNnEuclidean, SaxVsm, SaxVsmParams,
 };
-use rpm_core::{find_candidates_for_class, transform_series, RpmClassifier, RpmConfig};
+use rpm_core::{find_candidates_for_class, RpmClassifier, RpmConfig};
 use rpm_sax::SaxConfig;
 use rpm_ts::Dataset;
 
@@ -21,7 +21,6 @@ fn bench_rpm_stages(c: &mut Criterion) {
     let config = RpmConfig::fixed(sax);
     let view = train.by_class().into_iter().next().unwrap();
     let model = RpmClassifier::train(&train, &config).unwrap();
-    let patterns: Vec<Vec<f64>> = model.patterns().iter().map(|p| p.values.clone()).collect();
     let query = train.series[0].clone();
 
     let mut g = c.benchmark_group("rpm_stages");
@@ -32,7 +31,7 @@ fn bench_rpm_stages(c: &mut Criterion) {
         b.iter(|| RpmClassifier::train(black_box(&train), &config).unwrap())
     });
     g.bench_function("transform_one_series", |b| {
-        b.iter(|| transform_series(black_box(&query), &patterns, false, true))
+        b.iter(|| model.transform(black_box(&query)))
     });
     g.bench_function("predict_one_series", |b| {
         b.iter(|| model.predict(black_box(&query)))

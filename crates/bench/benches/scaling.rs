@@ -110,7 +110,11 @@ fn bench_transform_thread_scaling(c: &mut Criterion) {
             |b, series| {
                 b.iter(|| {
                     model
-                        .predict_batch_with(black_box(series), Parallelism::Threads(n_threads))
+                        .predict_batch_with(
+                            black_box(series),
+                            Parallelism::Threads(n_threads),
+                            None,
+                        )
                         .unwrap()
                 })
             },

@@ -13,7 +13,7 @@
 //! cargo run --release -p rpm-bench --bin cascade_stats -- --json BENCH_3.json
 //! ```
 
-use rpm_core::{prepare_patterns, transform_set_plans_engine, Engine, MatchKernel};
+use rpm_core::{prepare_patterns, transform_set_plans_engine_counted, Engine, MatchKernel};
 use rpm_ts::{BatchedMatch, MatchPlan, ScanCounters, ScanStats};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -143,26 +143,17 @@ fn transform_composite(k: usize, n: usize, reps: usize) -> Row {
     let rolling_plans = prepare_patterns(&patterns, MatchKernel::Rolling);
     let batched_plans = prepare_patterns(&patterns, MatchKernel::Batched);
     let engine = Engine::serial();
+    let transform = |plans: &[MatchPlan], counters: Option<&ScanCounters>| {
+        transform_set_plans_engine_counted(&batch, plans, false, true, &engine, counters).unwrap()
+    };
     let rolling_ms = min_time_ms(reps, || {
-        std::hint::black_box(
-            transform_set_plans_engine(&batch, &rolling_plans, false, true, &engine).unwrap(),
-        );
+        std::hint::black_box(transform(&rolling_plans, None));
     });
     let batched_ms = min_time_ms(reps, || {
-        std::hint::black_box(
-            transform_set_plans_engine(&batch, &batched_plans, false, true, &engine).unwrap(),
-        );
+        std::hint::black_box(transform(&batched_plans, None));
     });
     let counters = ScanCounters::new();
-    rpm_core::transform_set_plans_engine_counted(
-        &batch,
-        &batched_plans,
-        false,
-        true,
-        &engine,
-        Some(&counters),
-    )
-    .unwrap();
+    transform(&batched_plans, Some(&counters));
     Row {
         scenario: format!("transform/k{k}_n{n}_s32"),
         k,

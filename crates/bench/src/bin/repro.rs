@@ -21,7 +21,7 @@ use rpm_baselines::{OneNnDtw, OneNnEuclidean, SaxVsm, SaxVsmParams};
 use rpm_bench::{
     harness::evaluate_dataset_with, run_suite, ClassifierKind, DatasetResult, SuiteOptions,
 };
-use rpm_core::{transform_set, ParamSearch, RpmClassifier, RpmConfig};
+use rpm_core::{ParamSearch, RpmClassifier, RpmConfig};
 use rpm_data::{
     dropout_dataset, generate, interpolate_gaps, registry::spec_by_name, rotate_dataset, suite,
 };
@@ -674,9 +674,8 @@ fn ablation() {
 
     // "Works with any classifier": SVM vs 1-NN on the transformed space.
     let model = RpmClassifier::train(&train, &base).expect("train");
-    let pattern_values: Vec<Vec<f64>> = model.patterns().iter().map(|p| p.values.clone()).collect();
-    let train_f = transform_set(&train.series, &pattern_values, false, true);
-    let test_f = transform_set(&test.series, &pattern_values, false, true);
+    let train_f: Vec<Vec<f64>> = train.series.iter().map(|s| model.transform(s)).collect();
+    let test_f: Vec<Vec<f64>> = test.series.iter().map(|s| model.transform(s)).collect();
     let mut correct = 0usize;
     for (f, l) in test_f.iter().zip(&test.labels) {
         let mut best = (0usize, f64::INFINITY);

@@ -263,46 +263,13 @@ impl SaxCache {
         v
     }
 
-    /// Memoized transform column: the distance of every series in `set`
-    /// to `pattern`. Keyed by a fingerprint of the pattern's exact bits,
-    /// so any pattern reappearing between the CFS transform and the final
-    /// SVM transform reuses its column.
-    pub fn column(
-        &self,
-        set: SetId,
-        pattern: &[f64],
-        rotation_invariant: bool,
-        early_abandon: bool,
-        kernel: MatchKernel,
-        compute: impl FnOnce() -> Vec<f64>,
-    ) -> Arc<Vec<f64>> {
-        if !self.enabled {
-            return Arc::new(compute());
-        }
-        let key = (
-            set,
-            fingerprint(pattern),
-            rotation_invariant,
-            early_abandon,
-            kernel,
-        );
-        if let Some(v) = self.columns.lock().ok().and_then(|m| m.get(&key).cloned()) {
-            self.record(Family::Columns, true);
-            return v;
-        }
-        self.record(Family::Columns, false);
-        let v = Arc::new(compute());
-        if let Ok(mut m) = self.columns.lock() {
-            return m.entry(key).or_insert(v).clone();
-        }
-        v
-    }
-
-    /// Split-phase [`column`](Self::column) lookup for the batched
-    /// transform, which computes all missing columns in one pattern-set
-    /// scan instead of one closure per column. Records a hit/miss per
-    /// call, exactly like `column`; always a recorded miss on a
-    /// disabled cache.
+    /// Memoized transform column lookup: the distance of every series in
+    /// `set` to `pattern`. Keyed by a fingerprint of the pattern's exact
+    /// bits, so any pattern reappearing between the CFS transform and the
+    /// final SVM transform reuses its column. Split from
+    /// [`store_column`](Self::store_column) because the transform
+    /// computes all missing columns in one pattern-set scan. Records a
+    /// hit/miss per call; always a recorded miss on a disabled cache.
     pub(crate) fn try_column(
         &self,
         set: SetId,
@@ -329,7 +296,7 @@ impl SaxCache {
 
     /// Stores a column computed after a [`try_column`](Self::try_column)
     /// miss (no hit/miss accounting — the miss was already recorded).
-    /// First write wins, mirroring `column`'s `or_insert`.
+    /// First write wins, so racing writers all return the same column.
     pub(crate) fn store_column(
         &self,
         set: SetId,
@@ -562,26 +529,33 @@ mod tests {
         let cache = SaxCache::new(true);
         let p1 = vec![1.0, 2.0, 3.0];
         let p2 = vec![1.0, 2.0, 3.0 + 1e-12];
+        // Lookup, then store on a miss — the transform's protocol.
+        let column = |p: &[f64], kernel: MatchKernel, v: f64| {
+            let set = SetId::FullTrain;
+            cache
+                .try_column(set, p, false, true, kernel)
+                .unwrap_or_else(|| {
+                    cache.store_column(set, p, false, true, kernel, Arc::new(vec![v]))
+                })
+        };
         let k = MatchKernel::Rolling;
-        let c1 = cache.column(SetId::FullTrain, &p1, false, true, k, || vec![0.1]);
-        let c2 = cache.column(SetId::FullTrain, &p2, false, true, k, || vec![0.2]);
-        let c1_again = cache.column(SetId::FullTrain, &p1, false, true, k, || vec![9.9]);
-        assert_eq!(*c1, vec![0.1]);
+        assert_eq!(*column(&p1, k, 0.1), vec![0.1]);
         assert_eq!(
-            *c2,
+            *column(&p2, k, 0.2),
             vec![0.2],
             "bit-different patterns get their own column"
         );
-        assert_eq!(*c1_again, vec![0.1], "exact repeat is served from memory");
-        let naive = cache.column(
-            SetId::FullTrain,
-            &p1,
-            false,
-            true,
-            MatchKernel::Naive,
-            || vec![0.3],
+        assert_eq!(
+            *column(&p1, k, 9.9),
+            vec![0.1],
+            "exact repeat is served from memory"
         );
-        assert_eq!(*naive, vec![0.3], "kernels get separate columns");
+        assert_eq!(
+            *column(&p1, MatchKernel::Naive, 0.3),
+            vec![0.3],
+            "kernels get separate columns"
+        );
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 3 });
     }
 
     #[test]

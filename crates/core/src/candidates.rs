@@ -13,11 +13,10 @@ use crate::cache::{Ctx, SaxCache};
 use crate::config::GrammarAlgorithm;
 use crate::config::RpmConfig;
 use crate::engine::Engine;
-use crate::transform::pattern_distance_plans;
 use rpm_cluster::{bisect_refine, centroid, medoid};
 use rpm_grammar::{infer_repair, Sequitur, Token};
 use rpm_sax::{SaxConfig, SaxWord};
-use rpm_ts::{znorm, BatchedMatch, Label, MatchKernel, MatchPlan};
+use rpm_ts::{znorm, BatchedMatch, Label, MatchPlan};
 use std::collections::HashMap;
 
 /// A candidate representative pattern for one class.
@@ -196,17 +195,13 @@ pub(crate) fn find_candidates_for_class_ctx(
             .map(|s| MatchPlan::with_kernel(s, config.kernel))
             .collect();
 
-        // Under the batched kernel the full u×u distance matrix is filled
-        // up front: for each subsequence j, every strictly-shorter (or
-        // equal-length, scanned directionally) subsequence slides over it
-        // in one pattern-set cascade scan. Refinement, the τ pool, and
-        // medoid selection then read the matrix instead of re-scanning.
-        let matrix: Option<Vec<f64>> = (config.kernel == MatchKernel::Batched)
-            .then(|| pairwise_matrix(&subs, &plans, config.early_abandon));
-        let dist = |i: usize, j: usize| match &matrix {
-            Some(m) => m[i * plans.len() + j],
-            None => pattern_distance_plans(&plans[i], &plans[j], config.early_abandon),
-        };
+        // The full u×u distance matrix is filled up front: for each
+        // subsequence j, every strictly-shorter (or equal-length, scanned
+        // directionally) subsequence slides over it in one pattern-set
+        // scan. Refinement, the τ pool, and medoid selection then read
+        // the matrix instead of re-scanning.
+        let matrix = pairwise_matrix(&subs, &plans, config.early_abandon);
+        let dist = |i: usize, j: usize| matrix[i * plans.len() + j];
 
         // --- Refinement: iterative bisection with complete linkage over
         //     closest-match distances.
@@ -253,7 +248,8 @@ pub(crate) fn find_candidates_for_class_ctx(
 /// with pattern-set scans. For each subsequence `j`, every other
 /// subsequence no longer than it slides over `subs[j]` in one batched
 /// cascade pass, which preserves the exact orientation rule of
-/// [`pattern_distance_plans`]: the shorter side is the pattern, and on
+/// [`pattern_distance_plans`](crate::transform::pattern_distance_plans):
+/// the shorter side is the pattern, and on
 /// equal lengths the first argument slides — so equal-length pairs get
 /// their own directional scan per cell while strictly-shorter results
 /// are mirrored. The diagonal is left 0.0 and never queried (both

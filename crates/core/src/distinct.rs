@@ -30,13 +30,10 @@ pub fn compute_tau(intra_cluster_distances: &[f64], tau_percentile: f64) -> f64 
 /// in descending frequency order, a candidate within τ of an already-kept
 /// one is dropped — equivalent to the paper's replace-if-more-frequent
 /// bookkeeping, without the in-place swaps.
-pub fn remove_similar(candidates: Vec<Candidate>, tau: f64, early_abandon: bool) -> Vec<Candidate> {
-    remove_similar_kernel(candidates, tau, early_abandon, MatchKernel::default())
-}
-
-/// [`remove_similar`] with an explicit closest-match kernel. Each
-/// candidate's match plan is prepared once up front; the O(pool²) dedup
-/// scan then reuses them for every pairwise comparison.
+///
+/// Each candidate's match plan is prepared once with `kernel`; the
+/// O(pool²) dedup scan then reuses the plans for every pairwise
+/// comparison.
 pub fn remove_similar_kernel(
     mut candidates: Vec<Candidate>,
     tau: f64,
@@ -48,31 +45,21 @@ pub fn remove_similar_kernel(
     let mut kept_plans: Vec<MatchPlan> = Vec::new();
     for c in candidates {
         let plan = MatchPlan::with_kernel(&c.values, kernel);
-        let similar = if kernel == MatchKernel::Batched {
-            // Pattern-set path: every kept plan strictly shorter than
-            // the candidate slides over it — one cascade scan covers
-            // them all. Equal-or-longer kept plans keep the per-pattern
-            // orientation (the candidate slides over *them*), so every
-            // pairwise distance is bit-identical to the per-pattern
-            // scan above.
-            let shorter: Vec<&MatchPlan> =
-                kept_plans.iter().filter(|k| k.len() < plan.len()).collect();
-            let batched_hit = !shorter.is_empty() && {
-                let set = BatchedMatch::from_refs(&shorter);
-                set.match_all(&c.values, early_abandon, None)
-                    .iter()
-                    .any(|m| m.is_some_and(|m| m.distance < tau))
-            };
-            batched_hit
-                || kept_plans
-                    .iter()
-                    .filter(|k| k.len() >= plan.len())
-                    .any(|k| pattern_distance_plans(&plan, k, early_abandon) < tau)
-        } else {
-            kept_plans
+        // Every kept plan strictly shorter than the candidate slides over
+        // it — one pattern-set scan covers them all. Equal-or-longer kept
+        // plans keep the per-pattern orientation (the candidate slides
+        // over *them*), so every pairwise distance is bit-identical to
+        // `pattern_distance_plans`.
+        let shorter: Vec<&MatchPlan> = kept_plans.iter().filter(|k| k.len() < plan.len()).collect();
+        let similar = (!shorter.is_empty()
+            && BatchedMatch::from_refs(&shorter)
+                .match_all(&c.values, early_abandon, None)
                 .iter()
-                .any(|k| pattern_distance_plans(&plan, k, early_abandon) < tau)
-        };
+                .any(|m| m.is_some_and(|m| m.distance < tau)))
+            || kept_plans
+                .iter()
+                .filter(|k| k.len() >= plan.len())
+                .any(|k| pattern_distance_plans(&plan, k, early_abandon) < tau);
         if !similar {
             kept.push(c);
             kept_plans.push(plan);
@@ -208,7 +195,7 @@ mod tests {
         let a = cand(0, wave(0.0, 24), 10);
         let b = cand(0, wave(0.02, 24), 3); // nearly identical shape
         let c = cand(1, wave(1.5, 24), 5); // different phase
-        let kept = remove_similar(vec![a, b, c], 0.3, true);
+        let kept = remove_similar_kernel(vec![a, b, c], 0.3, true, MatchKernel::default());
         assert_eq!(
             kept.len(),
             2,
@@ -222,7 +209,7 @@ mod tests {
     #[test]
     fn zero_tau_keeps_everything() {
         let cands = vec![cand(0, wave(0.0, 24), 4), cand(0, wave(0.001, 24), 3)];
-        let kept = remove_similar(cands, 0.0, true);
+        let kept = remove_similar_kernel(cands, 0.0, true, MatchKernel::default());
         assert_eq!(kept.len(), 2);
     }
 

@@ -51,7 +51,7 @@ pub use checkpoint::CheckpointError;
 pub use config::{
     ConfigError, GrammarAlgorithm, ParamSearch, RpmConfig, RpmConfigBuilder, TrainBudget,
 };
-pub use distinct::{compute_tau, remove_similar, remove_similar_kernel, select_representative};
+pub use distinct::{compute_tau, remove_similar_kernel, select_representative};
 pub use engine::{Engine, EngineError};
 pub use explore::{
     discover_motifs, discover_motifs_batch, find_discords, find_discords_batch, rule_coverage,
@@ -63,8 +63,5 @@ pub use persist::{model_fingerprint, PersistError, VerifyReport};
 pub use rpm_obs::{ObsConfig, ObsLevel};
 pub use rpm_ts::{MatchKernel, MatchPlan, Parallelism};
 pub use transform::{
-    batched_match, pattern_distance, pattern_distance_plans, prepare_patterns, transform_series,
-    transform_series_batched_counted, transform_series_plans, transform_series_plans_counted,
-    transform_set, transform_set_engine, transform_set_parallel, transform_set_plans_engine,
-    transform_set_plans_engine_counted,
+    pattern_distance, pattern_distance_plans, prepare_patterns, transform_set_plans_engine_counted,
 };

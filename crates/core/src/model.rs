@@ -6,11 +6,7 @@ use crate::config::{ParamSearch, RpmConfig};
 use crate::distinct::select_representative_ctx;
 use crate::engine::{Engine, EngineError};
 use crate::params::search_parameters_ctx;
-use crate::transform::{
-    batched_match, prepare_patterns, transform_series_batched_counted,
-    transform_series_plans_counted, transform_set_ctx, transform_set_plans_engine,
-    transform_set_plans_engine_counted,
-};
+use crate::transform::{feature_row, prepare_patterns, transform_set_ctx};
 use crate::usage::{render_usage, PatternStats, PatternUsage};
 use rpm_ml::{LinearSvm, SvmParams};
 use rpm_sax::SaxConfig;
@@ -79,11 +75,11 @@ pub struct RpmClassifier {
     /// when a model is loaded from disk — the kernel is an execution
     /// strategy, not part of the persisted model.
     pub(crate) plans: Vec<MatchPlan>,
-    /// Prebuilt pattern-set scanner backing `plans` when they use the
-    /// batched kernel (`None` otherwise): the per-pattern envelope and
-    /// tier-1 streams are computed once here and shared by every
-    /// `transform`/`predict` call on this model.
-    pub(crate) batched: Option<BatchedMatch>,
+    /// Prebuilt pattern-set scanner over `plans`: the cascade's
+    /// per-pattern envelope and tier-1 streams (and the per-pattern
+    /// fallback for non-batched kernels) are set up once here and shared
+    /// by every `transform`/`predict` call on this model.
+    pub(crate) batched: BatchedMatch,
     pub(crate) svm: LinearSvm,
     pub(crate) per_class_sax: BTreeMap<Label, SaxConfig>,
     pub(crate) rotation_invariant: bool,
@@ -348,7 +344,7 @@ impl RpmClassifier {
         drop(profile_span);
 
         let plans = prepare_patterns(&pattern_values, config.kernel);
-        let batched = batched_match(&plans);
+        let batched = BatchedMatch::new(&plans);
         let usage = PatternUsage::new(pattern_values.len());
         Ok(Self {
             patterns: selected,
@@ -371,145 +367,108 @@ impl RpmClassifier {
         self.feature_row(series, None)
     }
 
-    /// One series' feature row: through the prebuilt pattern-set scanner
-    /// when the batched kernel is active, per-pattern plans otherwise.
-    /// Every single-series transform/predict path funnels here so the
-    /// batched set is built once per model, not once per call.
+    /// One series' feature row through the model's prebuilt pattern set.
+    /// Every transform/predict path funnels here, so the set is built
+    /// once per model, not once per call.
     fn feature_row(&self, series: &[f64], counters: Option<&ScanCounters>) -> Vec<f64> {
-        match &self.batched {
-            Some(b) => transform_series_batched_counted(
-                series,
-                &self.plans,
-                b,
-                self.rotation_invariant,
-                self.early_abandon,
-                counters,
-            ),
-            None => transform_series_plans_counted(
-                series,
-                &self.plans,
-                self.rotation_invariant,
-                self.early_abandon,
-                counters,
-            ),
+        feature_row(
+            &self.batched,
+            &self.plans,
+            series,
+            self.rotation_invariant,
+            self.early_abandon,
+            counters,
+        )
+    }
+
+    /// One series through transform + SVM, returning the feature row with
+    /// the label. With observability on it also feeds the per-pattern
+    /// utilization accumulators and the `predict.latency_ns` histogram;
+    /// instrumentation only observes, so labels are bit-identical either
+    /// way.
+    fn predict_row(&self, series: &[f64], counters: Option<&ScanCounters>) -> (Vec<f64>, Label) {
+        let start = rpm_obs::enabled().then(rpm_obs::now_ns);
+        let row = self.feature_row(series, counters);
+        let label = self.svm.predict(&row);
+        if let Some(start) = start {
+            self.usage.note(&row);
+            rpm_obs::metrics()
+                .predict_latency
+                .observe(rpm_obs::now_ns().saturating_sub(start));
+        }
+        (row, label)
+    }
+
+    /// The one batch core behind every batch entry point: rows and labels
+    /// for each series, computed inline under [`Parallelism::Serial`] or
+    /// on that many [`Engine`] workers under [`Parallelism::Threads`].
+    /// Both run over the model's own pattern set and produce identical
+    /// results; a worker panic surfaces as an [`EngineError`].
+    fn predict_rows<S: AsRef<[f64]> + Sync>(
+        &self,
+        series: &[S],
+        parallelism: Parallelism,
+        counters: Option<&ScanCounters>,
+    ) -> Result<Vec<(Vec<f64>, Label)>, EngineError> {
+        let _span = rpm_obs::span!("predict");
+        let m = rpm_obs::metrics();
+        m.predict_batches.inc();
+        m.predict_series.add(series.len() as u64);
+        match parallelism {
+            Parallelism::Serial => Ok(series
+                .iter()
+                .map(|s| self.predict_row(s.as_ref(), counters))
+                .collect()),
+            Parallelism::Threads(_) => Engine::new(parallelism.workers())
+                .map(series, |_, s| self.predict_row(s.as_ref(), counters)),
         }
     }
 
     /// Predicts the class label of one series.
     ///
-    /// With observability off this is exactly the PR 2 path (transform +
-    /// SVM, zero probes); with it on, the same computation additionally
-    /// feeds the `predict.latency_ns`/`predict.match_distance` histograms
-    /// and the per-pattern utilization accumulators. Instrumentation only
+    /// With observability off this is transform + SVM with zero probes;
+    /// with it on, the same computation additionally feeds the
+    /// `predict.series` counter, the `predict.latency_ns` histogram and
+    /// the per-pattern utilization accumulators. Instrumentation only
     /// observes — predictions are bit-identical either way.
     pub fn predict(&self, series: &[f64]) -> Label {
-        if !rpm_obs::enabled() {
-            return self.svm.predict(&self.transform(series));
-        }
-        let start = rpm_obs::now_ns();
-        let features = self.transform(series);
-        self.usage.note(&features);
-        let label = self.svm.predict(&features);
-        let m = rpm_obs::metrics();
-        m.predict_series.inc();
-        m.predict_latency
-            .observe(rpm_obs::now_ns().saturating_sub(start));
-        label
+        rpm_obs::metrics().predict_series.inc();
+        self.predict_row(series, None).1
     }
 
-    /// Predicts a batch. The batch is *borrowed*: any slice whose items
-    /// view as `&[f64]` works (`&[Vec<f64>]` from a dataset, `&[&[f64]]`
-    /// gathered across request buffers) — no sample data is copied to
-    /// cross this call.
-    pub fn predict_batch<S: AsRef<[f64]>>(&self, series: &[S]) -> Vec<Label> {
-        let _span = rpm_obs::span!("predict");
-        rpm_obs::metrics().predict_batches.inc();
-        // `predict.series` is counted per series inside `predict`.
-        series.iter().map(|s| self.predict(s.as_ref())).collect()
+    /// Predicts a batch serially. The batch is *borrowed*: any slice
+    /// whose items view as `&[f64]` works (`&[Vec<f64>]` from a dataset,
+    /// `&[&[f64]]` gathered across request buffers) — no sample data is
+    /// copied to cross this call.
+    pub fn predict_batch<S: AsRef<[f64]> + Sync>(&self, series: &[S]) -> Vec<Label> {
+        self.predict_batch_with(series, Parallelism::Serial, None)
+            .expect("serial prediction runs no engine workers")
     }
 
     /// The configurable batch entry point: predicts every series in the
-    /// borrowed batch under the given [`Parallelism`].
-    ///
-    /// [`Parallelism::Serial`] is exactly [`RpmClassifier::predict_batch`]
-    /// (and cannot fail); [`Parallelism::Threads`] runs the
-    /// pattern-distance transform — the classification bottleneck — on
-    /// that many engine workers, producing bit-identical labels, with a
-    /// worker panic surfacing as an [`EngineError`] instead of aborting
-    /// the process.
-    pub fn predict_batch_with<S: AsRef<[f64]> + Sync>(
-        &self,
-        series: &[S],
-        parallelism: Parallelism,
-    ) -> Result<Vec<Label>, EngineError> {
-        if matches!(parallelism, Parallelism::Serial) {
-            return Ok(self.predict_batch(series));
-        }
-        let _span = rpm_obs::span!("predict");
-        let m = rpm_obs::metrics();
-        m.predict_batches.inc();
-        m.predict_series.add(series.len() as u64);
-        let rows = transform_set_plans_engine(
-            series,
-            &self.plans,
-            self.rotation_invariant,
-            self.early_abandon,
-            &Engine::new(parallelism.workers()),
-        )?;
-        if rpm_obs::enabled() {
-            // The parallel path bypasses `predict`; feed utilization from
-            // the transformed rows instead (same values, same argmins).
-            for row in &rows {
-                self.usage.note(row);
-            }
-        }
-        Ok(rows.iter().map(|r| self.svm.predict(r)).collect())
-    }
-
-    /// [`predict_batch_with`](Self::predict_batch_with) with an optional
+    /// borrowed batch under the given [`Parallelism`], with an optional
     /// per-request [`ScanCounters`] accumulator — the request-tracing
-    /// entry point. With `counters = None` this is exactly
-    /// `predict_batch_with` (same code path, same metrics). With an
-    /// accumulator attached, the kernel's search volume (searches,
-    /// windows, early-abandon count, match wall time) for *this batch
-    /// alone* lands in it; counting is integer-only side work, so labels
-    /// stay bit-identical either way.
-    pub fn predict_batch_traced<S: AsRef<[f64]> + Sync>(
+    /// hook.
+    ///
+    /// [`Parallelism::Serial`] cannot fail; [`Parallelism::Threads`] runs
+    /// the pattern-distance transform — the classification bottleneck —
+    /// on that many engine workers, producing bit-identical labels, with
+    /// a worker panic surfacing as an [`EngineError`] instead of aborting
+    /// the process. With an accumulator attached, the kernel's search
+    /// volume (searches, windows, prune and abandon counts, match wall
+    /// time) for *this batch alone* lands in it; counting is
+    /// integer-only side work, so labels stay bit-identical either way.
+    pub fn predict_batch_with<S: AsRef<[f64]> + Sync>(
         &self,
         series: &[S],
         parallelism: Parallelism,
         counters: Option<&ScanCounters>,
     ) -> Result<Vec<Label>, EngineError> {
-        let Some(counters) = counters else {
-            return self.predict_batch_with(series, parallelism);
-        };
-        let _span = rpm_obs::span!("predict");
-        let m = rpm_obs::metrics();
-        m.predict_batches.inc();
-        m.predict_series.add(series.len() as u64);
-        let rows = match parallelism {
-            Parallelism::Serial => series
-                .iter()
-                .map(|s| self.feature_row(s.as_ref(), Some(counters)))
-                .collect(),
-            Parallelism::Threads(_) => transform_set_plans_engine_counted(
-                series,
-                &self.plans,
-                self.rotation_invariant,
-                self.early_abandon,
-                &Engine::new(parallelism.workers()),
-                Some(counters),
-            )?,
-        };
-        if rpm_obs::enabled() {
-            for row in &rows {
-                self.usage.note(row);
-            }
-        }
-        Ok(rows.iter().map(|r| self.svm.predict(r)).collect())
+        let rows = self.predict_rows(series, parallelism, counters)?;
+        Ok(rows.into_iter().map(|(_, label)| label).collect())
     }
 
-    /// [`predict_batch_traced`](Self::predict_batch_traced), additionally
+    /// [`predict_batch_with`](Self::predict_batch_with), additionally
     /// returning one [`rpm_obs::DriftSample`] per series — the serving
     /// path feeds these into the installed drift monitor. The samples are
     /// derived from the same feature rows the SVM sees, so labels stay
@@ -520,37 +479,12 @@ impl RpmClassifier {
         parallelism: Parallelism,
         counters: Option<&ScanCounters>,
     ) -> Result<Vec<(Label, rpm_obs::DriftSample)>, EngineError> {
-        let _span = rpm_obs::span!("predict");
-        let m = rpm_obs::metrics();
-        m.predict_batches.inc();
-        m.predict_series.add(series.len() as u64);
-        let rows = match parallelism {
-            Parallelism::Serial => series
-                .iter()
-                .map(|s| self.feature_row(s.as_ref(), counters))
-                .collect(),
-            Parallelism::Threads(_) => transform_set_plans_engine_counted(
-                series,
-                &self.plans,
-                self.rotation_invariant,
-                self.early_abandon,
-                &Engine::new(parallelism.workers()),
-                counters,
-            )?,
-        };
-        if rpm_obs::enabled() {
-            for row in &rows {
-                self.usage.note(row);
-            }
-        }
+        let rows = self.predict_rows(series, parallelism, counters)?;
         let classes: Vec<Label> = self.patterns.iter().map(|p| p.class).collect();
         Ok(series
             .iter()
             .zip(&rows)
-            .map(|(s, row)| {
-                let label = self.svm.predict(row);
-                (label, drift_sample(s.as_ref(), row, &classes, label))
-            })
+            .map(|(s, (row, label))| (*label, drift_sample(s.as_ref(), row, &classes, *label)))
             .collect())
     }
 
@@ -732,6 +666,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
+    use rpm_ts::MatchKernel;
 
     /// Two-class set: class 0 plants an up-chirp, class 1 a down-chirp,
     /// at random positions.
@@ -895,55 +830,110 @@ mod tests {
         );
         assert_eq!(serial.patterns().len(), parallel.patterns().len());
         let batched = parallel
-            .predict_batch_with(&test.series, Parallelism::Threads(4))
+            .predict_batch_with(&test.series, Parallelism::Threads(4), None)
             .unwrap();
         assert_eq!(batched, serial.predict_batch(&test.series));
     }
 
     #[test]
-    fn borrowed_batches_match_owned_batches() {
+    fn every_predict_entry_point_agrees_for_every_kernel() {
         let train = two_class_dataset(10, 128, 44);
-        let test = two_class_dataset(6, 128, 45);
-        let model = RpmClassifier::train(&train, &fixed_config()).unwrap();
-        let owned = model.predict_batch(&test.series);
+        let test = two_class_dataset(4, 128, 45);
         // The serving shape: slices borrowed from buffers owned elsewhere.
         let refs: Vec<&[f64]> = test.series.iter().map(Vec::as_slice).collect();
-        assert_eq!(model.predict_batch(&refs), owned);
-        assert_eq!(
-            model
-                .predict_batch_with(&refs, Parallelism::Threads(3))
-                .unwrap(),
-            owned
-        );
-        assert_eq!(
-            model
-                .predict_batch_with(&refs, Parallelism::Serial)
-                .unwrap(),
-            owned
-        );
-    }
-
-    #[test]
-    fn traced_batch_is_bit_identical_and_counts_the_kernel() {
-        let train = two_class_dataset(10, 128, 46);
-        let test = two_class_dataset(4, 128, 47);
-        let model = RpmClassifier::train(&train, &fixed_config()).unwrap();
-        let plain = model.predict_batch(&test.series);
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let counters = ScanCounters::new();
-            let traced = model
-                .predict_batch_traced(&test.series, parallelism, Some(&counters))
-                .unwrap();
-            assert_eq!(traced, plain, "{parallelism:?}");
-            let stats = counters.snapshot();
-            assert!(stats.searches > 0, "{parallelism:?}: {stats:?}");
-            assert!(stats.windows >= stats.searches);
-            // None delegates straight to predict_batch_with.
+        let kernels = [
+            MatchKernel::Rolling,
+            MatchKernel::Batched,
+            MatchKernel::Naive,
+        ];
+        for rotation_invariant in [false, true] {
+            let mut kernel_labels = BTreeMap::new();
+            for kernel in kernels {
+                let cfg = RpmConfig {
+                    kernel,
+                    rotation_invariant,
+                    ..fixed_config()
+                };
+                let model = RpmClassifier::train(&train, &cfg).unwrap();
+                let case = format!("{kernel:?} rotation={rotation_invariant}");
+                let as_trait: &dyn rpm_ts::Classifier = &model;
+                let mut entries: Vec<(String, Vec<Label>)> = vec![
+                    (
+                        "predict".into(),
+                        test.series.iter().map(|s| model.predict(s)).collect(),
+                    ),
+                    (
+                        "predict_batch(owned)".into(),
+                        model.predict_batch(&test.series),
+                    ),
+                    ("predict_batch(borrowed)".into(), model.predict_batch(&refs)),
+                    (
+                        "Classifier::predict_batch_refs".into(),
+                        as_trait.predict_batch_refs(&refs),
+                    ),
+                ];
+                let mut counted = Vec::new();
+                for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
+                    entries.push((
+                        format!("predict_batch_with({parallelism:?}, None)"),
+                        model.predict_batch_with(&refs, parallelism, None).unwrap(),
+                    ));
+                    let counters = ScanCounters::new();
+                    entries.push((
+                        format!("predict_batch_with({parallelism:?}, Some)"),
+                        model
+                            .predict_batch_with(&refs, parallelism, Some(&counters))
+                            .unwrap(),
+                    ));
+                    counted.push(counters.snapshot());
+                    let observed_counters = ScanCounters::new();
+                    let observed = model
+                        .predict_batch_observed(&refs, parallelism, Some(&observed_counters))
+                        .unwrap();
+                    assert_eq!(
+                        observed_counters.snapshot().searches,
+                        counters.snapshot().searches,
+                        "{case} {parallelism:?}"
+                    );
+                    for ((label, sample), series) in observed.iter().zip(&test.series) {
+                        assert_eq!(sample.class, *label);
+                        assert_eq!(sample.len, series.len());
+                        assert!(sample.best_distance.is_finite() && sample.best_distance >= 0.0);
+                        assert!(sample.margin >= 0.0);
+                        assert!(sample.stddev > 0.0, "noisy series have spread");
+                        assert!(sample.z_extreme > 0.0);
+                    }
+                    // The winning distance is the row minimum.
+                    let row = model.transform(&test.series[0]);
+                    let expected = row.iter().copied().fold(f64::INFINITY, f64::min);
+                    assert_eq!(observed[0].1.best_distance, expected, "{case}");
+                    entries.push((
+                        format!("predict_batch_observed({parallelism:?})"),
+                        observed.iter().map(|(l, _)| *l).collect(),
+                    ));
+                }
+                let reference = entries[0].1.clone();
+                for (entry, labels) in &entries {
+                    assert_eq!(labels, &reference, "{case}: {entry}");
+                }
+                let (serial, threads) = (counted[0], counted[1]);
+                assert!(serial.searches > 0, "{case}: {serial:?}");
+                assert!(serial.windows >= serial.searches);
+                assert_eq!(serial.searches, threads.searches, "{case}");
+                assert_eq!(serial.windows, threads.windows, "{case}");
+                if kernel == MatchKernel::Rolling {
+                    // The pattern set honours the plans' kernel: a Rolling
+                    // model scans each pattern on its own statistics.
+                    let views = if rotation_invariant { 2 } else { 1 };
+                    let pairs = test.series.len() * model.patterns().len() * views;
+                    assert_eq!(serial.stats_builds, pairs as u64, "{case}");
+                    assert_eq!(threads.stats_builds, pairs as u64, "{case}");
+                }
+                kernel_labels.insert(format!("{kernel:?}"), reference);
+            }
             assert_eq!(
-                model
-                    .predict_batch_traced(&test.series, parallelism, None)
-                    .unwrap(),
-                plain
+                kernel_labels["Rolling"], kernel_labels["Batched"],
+                "rotation={rotation_invariant}: Rolling and Batched are bit-identical"
             );
         }
     }
@@ -957,39 +947,6 @@ mod tests {
         // The model predicts both classes on its own training set, so the
         // profile holds a sketch per class.
         assert_eq!(profile.class_labels(), vec![0, 1]);
-    }
-
-    #[test]
-    fn observed_batch_matches_plain_labels_and_fills_samples() {
-        let train = two_class_dataset(10, 128, 51);
-        let test = two_class_dataset(4, 128, 52);
-        let model = RpmClassifier::train(&train, &fixed_config()).unwrap();
-        let plain = model.predict_batch(&test.series);
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let observed = model
-                .predict_batch_observed(&test.series, parallelism, None)
-                .unwrap();
-            let labels: Vec<usize> = observed.iter().map(|(l, _)| *l).collect();
-            assert_eq!(labels, plain, "{parallelism:?}");
-            for ((label, sample), series) in observed.iter().zip(&test.series) {
-                assert_eq!(sample.class, *label);
-                assert_eq!(sample.len, series.len());
-                assert!(sample.best_distance.is_finite() && sample.best_distance >= 0.0);
-                assert!(sample.margin >= 0.0);
-                assert!(sample.stddev > 0.0, "noisy series have spread");
-                assert!(sample.z_extreme > 0.0);
-            }
-            // The winning distance is the row minimum.
-            let row = model.transform(&test.series[0]);
-            let expected = row.iter().copied().fold(f64::INFINITY, f64::min);
-            assert_eq!(observed[0].1.best_distance, expected);
-        }
-        // Counters attach the same way as predict_batch_traced.
-        let counters = ScanCounters::new();
-        model
-            .predict_batch_observed(&test.series, Parallelism::Serial, Some(&counters))
-            .unwrap();
-        assert!(counters.snapshot().searches > 0);
     }
 
     #[test]

@@ -276,7 +276,7 @@ impl Parts {
         // model: loaded models always serve with the default (batched)
         // kernel, whatever they were trained with.
         let plans = crate::transform::prepare_patterns(&pattern_values, Default::default());
-        let batched = crate::transform::batched_match(&plans);
+        let batched = rpm_ts::BatchedMatch::new(&plans);
         Ok(RpmClassifier {
             patterns: self.patterns,
             plans,

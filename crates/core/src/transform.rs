@@ -12,11 +12,14 @@
 //! bit-identical to the serial one, and worker panics surface as
 //! [`EngineError`] values instead of aborting the process.
 //!
-//! Every transform here is built on [`MatchPlan`]s: the per-pattern
-//! closest-match preparation (z-normalization, the early-abandon |zp|
-//! sort, `Σzp²`) is computed **once** per pattern and reused across every
-//! series it is matched against — the train-set transform, CFS scoring
-//! and batch prediction all pay O(patterns) plan builds instead of
+//! Every feature row is computed the same way: [`MatchPlan`]s are
+//! prepared once per pattern (z-normalization, the early-abandon |zp|
+//! sort, `Σzp²`), gathered into one [`BatchedMatch`], and each series
+//! takes one `match_all` per view. The set alone decides how each plan
+//! is scanned — `Batched` plans share the lower-bound cascade, `Rolling`
+//! and `Naive` plans run their own per-pattern kernel — so nothing here
+//! branches on the kernel. The train-set transform, CFS scoring and
+//! batch prediction all pay O(patterns) plan builds instead of
 //! O(patterns · series).
 
 use crate::cache::Ctx;
@@ -52,7 +55,7 @@ pub fn pattern_distance_plans(a: &MatchPlan, b: &MatchPlan, early_abandon: bool)
 }
 
 /// Prepares one [`MatchPlan`] per pattern with the given kernel — the
-/// entry ticket to every plan-based transform below.
+/// entry ticket to [`transform_set_plans_engine_counted`].
 pub fn prepare_patterns(patterns: &[Vec<f64>], kernel: MatchKernel) -> Vec<MatchPlan> {
     patterns
         .iter()
@@ -60,141 +63,11 @@ pub fn prepare_patterns(patterns: &[Vec<f64>], kernel: MatchKernel) -> Vec<Match
         .collect()
 }
 
-/// Closest-match distance of a prepared pattern inside `series`, with the
-/// resampling fallback for a pattern longer than the series (possible when
-/// test series are shorter than the training series the pattern came
-/// from): the pattern is linearly resampled to the series length and
-/// compared directly, keeping the feature finite.
-fn feature_distance_plan(
-    plan: &MatchPlan,
-    series: &[f64],
-    early_abandon: bool,
-    counters: Option<&ScanCounters>,
-) -> f64 {
-    if plan.len() <= series.len() {
-        match plan.best_match_counted(series, early_abandon, counters) {
-            Some(m) => m.distance,
-            None => 0.0, // empty pattern: degenerate, treat as zero signal
-        }
-    } else {
-        let shrunk = resample(plan.raw(), series.len());
-        let d = euclidean(&znorm(&shrunk), &znorm(series));
-        d / (series.len() as f64).sqrt()
-    }
-}
-
-/// Transforms one series into the K-dimensional pattern-distance vector
-/// using pre-built plans — the zero-per-call-preparation entry point for
-/// repeated (serving) transforms.
-///
-/// While `rpm-obs` is enabled each call also feeds the
-/// `transform.series_ns` histogram; the disabled path skips the clock
-/// reads entirely.
-pub fn transform_series_plans(
-    series: &[f64],
-    plans: &[MatchPlan],
-    rotation_invariant: bool,
-    early_abandon: bool,
-) -> Vec<f64> {
-    transform_series_plans_counted(series, plans, rotation_invariant, early_abandon, None)
-}
-
-/// [`transform_series_plans`] with an optional per-request
-/// [`ScanCounters`] accumulator (the request-tracing path). Counting is
-/// integer-only side work inside the kernel, so the distances are
-/// bit-identical with or without it.
-pub fn transform_series_plans_counted(
-    series: &[f64],
-    plans: &[MatchPlan],
-    rotation_invariant: bool,
-    early_abandon: bool,
-    counters: Option<&ScanCounters>,
-) -> Vec<f64> {
-    if !rpm_obs::enabled() {
-        return transform_series_inner(series, plans, rotation_invariant, early_abandon, counters);
-    }
-    let start = rpm_obs::now_ns();
-    let out = transform_series_inner(series, plans, rotation_invariant, early_abandon, counters);
-    rpm_obs::metrics()
-        .transform_series
-        .observe(rpm_obs::now_ns().saturating_sub(start));
-    out
-}
-
-/// Transforms one series into the K-dimensional pattern-distance vector.
-///
-/// Prepares a plan per pattern on every call; callers transforming more
-/// than one series should use [`prepare_patterns`] +
-/// [`transform_series_plans`] instead.
-pub fn transform_series(
-    series: &[f64],
-    patterns: &[Vec<f64>],
-    rotation_invariant: bool,
-    early_abandon: bool,
-) -> Vec<f64> {
-    let plans = prepare_patterns(patterns, MatchKernel::default());
-    transform_series_plans(series, &plans, rotation_invariant, early_abandon)
-}
-
-fn transform_series_inner(
-    series: &[f64],
-    plans: &[MatchPlan],
-    rotation_invariant: bool,
-    early_abandon: bool,
-    counters: Option<&ScanCounters>,
-) -> Vec<f64> {
-    if wants_batched(plans) {
-        // Ad-hoc batched route for callers without a prebuilt set;
-        // repeated-transform callers should hold a [`BatchedMatch`] and
-        // use [`transform_series_batched_counted`] instead.
-        let batched = BatchedMatch::new(plans);
-        return batched_series_row(
-            &batched,
-            plans,
-            series,
-            rotation_invariant,
-            early_abandon,
-            counters,
-        );
-    }
-    let rotated = if rotation_invariant {
-        Some(rotate_half(series))
-    } else {
-        None
-    };
-    plans
-        .iter()
-        .map(|p| {
-            let d = feature_distance_plan(p, series, early_abandon, counters);
-            match &rotated {
-                Some(r) => d.min(feature_distance_plan(p, r, early_abandon, counters)),
-                None => d,
-            }
-        })
-        .collect()
-}
-
-/// True when `plans` should run through the pattern-set cascade: the
-/// pipeline prepares every plan with one kernel, so the first grouped
-/// plan speaks for the set (fallback-only sets gain nothing and keep
-/// the per-pattern path).
-fn wants_batched(plans: &[MatchPlan]) -> bool {
-    plans.iter().any(|p| p.kernel() == MatchKernel::Batched)
-}
-
-/// Prepares the batched pattern-set scanner for a plan slice, or `None`
-/// when no plan requests the batched kernel — build once per model
-/// (train/load) and reuse across every transformed series.
-pub fn batched_match(plans: &[MatchPlan]) -> Option<BatchedMatch> {
-    wants_batched(plans).then(|| BatchedMatch::new(plans))
-}
-
-/// One series' feature row through the batched cascade: a single
-/// `match_all` per view (plus one for the rotated view), with the same
-/// resampling fallback [`feature_distance_plan`] applies to patterns
-/// longer than the series. Distances are bit-identical to the
-/// per-pattern rolling path.
-fn batched_series_row(
+/// One series' feature row through a prebuilt pattern set. `plans` must
+/// be the slice `batched` was built from. While `rpm-obs` is enabled
+/// each call also feeds the `transform.series_ns` histogram; the
+/// disabled path skips the clock reads entirely.
+pub(crate) fn feature_row(
     batched: &BatchedMatch,
     plans: &[MatchPlan],
     series: &[f64],
@@ -202,10 +75,46 @@ fn batched_series_row(
     early_abandon: bool,
     counters: Option<&ScanCounters>,
 ) -> Vec<f64> {
-    let mut row = batched_feature_distances(batched, plans, series, early_abandon, counters);
+    if !rpm_obs::enabled() {
+        return series_row(
+            batched,
+            plans,
+            series,
+            rotation_invariant,
+            early_abandon,
+            counters,
+        );
+    }
+    let start = rpm_obs::now_ns();
+    let out = series_row(
+        batched,
+        plans,
+        series,
+        rotation_invariant,
+        early_abandon,
+        counters,
+    );
+    rpm_obs::metrics()
+        .transform_series
+        .observe(rpm_obs::now_ns().saturating_sub(start));
+    out
+}
+
+/// [`feature_row`] without the latency histogram: one `match_all` per
+/// view (plus one for the rotated view, keeping the per-pattern
+/// minimum, §6.1).
+fn series_row(
+    batched: &BatchedMatch,
+    plans: &[MatchPlan],
+    series: &[f64],
+    rotation_invariant: bool,
+    early_abandon: bool,
+    counters: Option<&ScanCounters>,
+) -> Vec<f64> {
+    let mut row = feature_distances(batched, plans, series, early_abandon, counters);
     if rotation_invariant {
         let rotated = rotate_half(series);
-        let rot = batched_feature_distances(batched, plans, &rotated, early_abandon, counters);
+        let rot = feature_distances(batched, plans, &rotated, early_abandon, counters);
         for (d, r) in row.iter_mut().zip(rot) {
             *d = d.min(r);
         }
@@ -213,7 +122,12 @@ fn batched_series_row(
     row
 }
 
-fn batched_feature_distances(
+/// Closest-match distance of every pattern inside `series`, with the
+/// resampling fallback for a pattern longer than the series (possible
+/// when test series are shorter than the training series the pattern
+/// came from): the pattern is linearly resampled to the series length
+/// and compared directly, keeping the feature finite.
+fn feature_distances(
     batched: &BatchedMatch,
     plans: &[MatchPlan],
     series: &[f64],
@@ -235,86 +149,19 @@ fn batched_feature_distances(
         .collect()
 }
 
-/// [`transform_series_plans_counted`] against a prebuilt
-/// [`BatchedMatch`] — the serving path's entry point, paying zero
-/// per-call preparation. `plans` must be the slice the set was built
-/// from (it supplies the resampling fallback for oversized patterns).
-pub fn transform_series_batched_counted(
-    series: &[f64],
-    plans: &[MatchPlan],
-    batched: &BatchedMatch,
-    rotation_invariant: bool,
-    early_abandon: bool,
-    counters: Option<&ScanCounters>,
-) -> Vec<f64> {
-    if !rpm_obs::enabled() {
-        return batched_series_row(
-            batched,
-            plans,
-            series,
-            rotation_invariant,
-            early_abandon,
-            counters,
-        );
-    }
-    let start = rpm_obs::now_ns();
-    let out = batched_series_row(
-        batched,
-        plans,
-        series,
-        rotation_invariant,
-        early_abandon,
-        counters,
-    );
-    rpm_obs::metrics()
-        .transform_series
-        .observe(rpm_obs::now_ns().saturating_sub(start));
-    out
-}
-
-/// Transforms a whole set of series (plans prepared once internally).
-pub fn transform_set(
-    series: &[Vec<f64>],
-    patterns: &[Vec<f64>],
-    rotation_invariant: bool,
-    early_abandon: bool,
-) -> Vec<Vec<f64>> {
-    let plans = prepare_patterns(patterns, MatchKernel::default());
-    series
-        .iter()
-        .map(|s| transform_series_plans(s, &plans, rotation_invariant, early_abandon))
-        .collect()
-}
-
-/// Plan-based [`transform_set`] on an explicit [`Engine`]: series are
-/// distributed across the engine's workers and merged by index, so
-/// results are identical to the serial version. A panic inside a worker
-/// becomes an [`EngineError`] instead of a process abort.
+/// Transforms a batch of series into the K-dimensional pattern-distance
+/// space of `plans` on an explicit [`Engine`]: series are distributed
+/// across the engine's workers and merged by index, so results are
+/// identical to a serial run. A panic inside a worker becomes an
+/// [`EngineError`] instead of a process abort.
 ///
 /// The batch is borrowed — any `&[S]` whose items view as `&[f64]`
-/// (`&[Vec<f64>]`, `&[&[f64]]`, …) works, so serving callers can fan
-/// out over request buffers they do not own.
-pub fn transform_set_plans_engine<S: AsRef<[f64]> + Sync>(
-    series: &[S],
-    plans: &[MatchPlan],
-    rotation_invariant: bool,
-    early_abandon: bool,
-    engine: &Engine,
-) -> Result<Vec<Vec<f64>>, EngineError> {
-    transform_set_plans_engine_counted(
-        series,
-        plans,
-        rotation_invariant,
-        early_abandon,
-        engine,
-        None,
-    )
-}
-
-/// [`transform_set_plans_engine`] with an optional shared
-/// [`ScanCounters`] accumulator: every worker adds into the same atomic
-/// totals, so the caller reads one request-scoped sum after the batch
-/// joins. Results stay bit-identical to the uncounted form.
+/// (`&[Vec<f64>]`, `&[&[f64]]`, …) works. The optional shared
+/// [`ScanCounters`] accumulator receives every worker's kernel counts;
+/// counting is integer-only side work, so results stay bit-identical
+/// with or without it. The pattern set is built once per call; callers
+/// transforming repeatedly against the same patterns (a trained model)
+/// keep their own [`BatchedMatch`].
 pub fn transform_set_plans_engine_counted<S: AsRef<[f64]> + Sync>(
     series: &[S],
     plans: &[MatchPlan],
@@ -323,67 +170,30 @@ pub fn transform_set_plans_engine_counted<S: AsRef<[f64]> + Sync>(
     engine: &Engine,
     counters: Option<&ScanCounters>,
 ) -> Result<Vec<Vec<f64>>, EngineError> {
-    // For the batched kernel, build the pattern set once and share it
-    // across workers (it is `Sync`) instead of once per series.
-    let batched = wants_batched(plans).then(|| BatchedMatch::new(plans));
-    engine.map(series, |_, s| match &batched {
-        Some(b) => transform_series_batched_counted(
-            s.as_ref(),
+    let batched = BatchedMatch::new(plans);
+    engine.map(series, |_, s| {
+        feature_row(
+            &batched,
             plans,
-            b,
+            s.as_ref(),
             rotation_invariant,
             early_abandon,
             counters,
-        ),
-        None => transform_series_plans_counted(
-            s.as_ref(),
-            plans,
-            rotation_invariant,
-            early_abandon,
-            counters,
-        ),
+        )
     })
 }
 
-/// [`transform_set`] on an explicit [`Engine`] (plans prepared once
-/// internally with the default kernel).
-pub fn transform_set_engine(
-    series: &[Vec<f64>],
-    patterns: &[Vec<f64>],
-    rotation_invariant: bool,
-    early_abandon: bool,
-    engine: &Engine,
-) -> Result<Vec<Vec<f64>>, EngineError> {
-    let plans = prepare_patterns(patterns, MatchKernel::default());
-    transform_set_plans_engine(series, &plans, rotation_invariant, early_abandon, engine)
-}
-
-/// Parallel [`transform_set`] over `n_threads` workers — the batch
-/// classification entry point. Identical results to the serial version.
-pub fn transform_set_parallel(
-    series: &[Vec<f64>],
-    patterns: &[Vec<f64>],
-    rotation_invariant: bool,
-    early_abandon: bool,
-    n_threads: usize,
-) -> Result<Vec<Vec<f64>>, EngineError> {
-    transform_set_engine(
-        series,
-        patterns,
-        rotation_invariant,
-        early_abandon,
-        &Engine::new(n_threads.max(1)),
-    )
-}
-
-/// Training-internal transform: like [`transform_set_engine`] but
-/// memoizing per-pattern *columns* in the run's cache, keyed by the
-/// context's set identity. The CFS-selection transform and the final SVM
-/// transform both call this over the same training series, so every
-/// pattern surviving selection reuses its column instead of re-running
-/// the closest-match scan. Workers fan out over patterns (columns are the
-/// cacheable unit); rows are assembled in index order afterwards, keeping
-/// the result bit-identical to [`transform_set`].
+/// Training-internal transform, memoizing per-pattern *columns* in the
+/// run's cache, keyed by the context's set identity. The CFS-selection
+/// transform and the final SVM transform both call this over the same
+/// training series, so every pattern surviving selection reuses its
+/// column instead of re-running the closest-match scan.
+///
+/// Lookups record one hit or miss per pattern column. The *missing*
+/// columns are then computed together, one pattern-set scan per series
+/// with the workers fanning out over series, and stored for reuse.
+/// Rows are assembled in index order, bit-identical to
+/// [`transform_set_plans_engine_counted`].
 pub(crate) fn transform_set_ctx(
     series: &[Vec<f64>],
     patterns: &[Vec<f64>],
@@ -396,60 +206,6 @@ pub(crate) fn transform_set_ctx(
     rpm_obs::metrics()
         .transform_columns
         .add(patterns.len() as u64);
-    if kernel == MatchKernel::Batched {
-        return transform_set_ctx_batched(series, patterns, rotation_invariant, early_abandon, ctx);
-    }
-    let rotated: Option<Vec<Vec<f64>>> =
-        rotation_invariant.then(|| series.iter().map(|s| rotate_half(s)).collect());
-    let columns = ctx.engine.map(patterns, |_, p| {
-        ctx.cache.column(
-            ctx.set,
-            p,
-            rotation_invariant,
-            early_abandon,
-            kernel,
-            || {
-                // One plan per column, reused across every series in the
-                // set — the per-pattern sort and normalization amortize
-                // over the whole column.
-                let plan = MatchPlan::with_kernel(p, kernel);
-                series
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| {
-                        let d = feature_distance_plan(&plan, s, early_abandon, None);
-                        match &rotated {
-                            Some(r) => {
-                                d.min(feature_distance_plan(&plan, &r[i], early_abandon, None))
-                            }
-                            None => d,
-                        }
-                    })
-                    .collect()
-            },
-        )
-    })?;
-    Ok((0..series.len())
-        .map(|i| columns.iter().map(|c| c[i]).collect())
-        .collect())
-}
-
-/// The batched-kernel arm of [`transform_set_ctx`]: instead of a
-/// closest-match scan per (pattern, series) pair, the *missing* columns
-/// are computed in one pattern-set cascade per series — one shared
-/// `RollingStats` per (series, pattern length) — and the workers fan
-/// out over series (rows) rather than patterns (columns). Cache
-/// semantics are unchanged: one recorded hit or miss per pattern
-/// column, misses stored for the CFS→SVM transform reuse, rows
-/// bit-identical to the per-pattern path.
-fn transform_set_ctx_batched(
-    series: &[Vec<f64>],
-    patterns: &[Vec<f64>],
-    rotation_invariant: bool,
-    early_abandon: bool,
-    ctx: &Ctx<'_>,
-) -> Result<Vec<Vec<f64>>, EngineError> {
-    let kernel = MatchKernel::Batched;
     let cached: Vec<Option<Arc<Vec<f64>>>> = patterns
         .iter()
         .map(|p| {
@@ -470,7 +226,7 @@ fn transform_set_ctx_batched(
         let plans = prepare_patterns(&missing_patterns, kernel);
         let batched = BatchedMatch::new(&plans);
         let rows = ctx.engine.map(series, |_, s| {
-            batched_series_row(&batched, &plans, s, rotation_invariant, early_abandon, None)
+            series_row(&batched, &plans, s, rotation_invariant, early_abandon, None)
         })?;
         missing
             .iter()
@@ -512,6 +268,31 @@ mod tests {
             .collect()
     }
 
+    /// Feature rows of `set` against `pats` (default kernel) on `engine`.
+    fn rows_on(
+        set: &[Vec<f64>],
+        pats: &[Vec<f64>],
+        rotation: bool,
+        early_abandon: bool,
+        engine: &Engine,
+    ) -> Vec<Vec<f64>> {
+        let plans = prepare_patterns(pats, MatchKernel::default());
+        transform_set_plans_engine_counted(set, &plans, rotation, early_abandon, engine, None)
+            .unwrap()
+    }
+
+    /// One series' feature row against `pats`.
+    fn row(series: &[f64], pats: &[Vec<f64>], rotation: bool, early_abandon: bool) -> Vec<f64> {
+        rows_on(
+            &[series.to_vec()],
+            pats,
+            rotation,
+            early_abandon,
+            &Engine::serial(),
+        )
+        .remove(0)
+    }
+
     #[test]
     fn pattern_distance_is_symmetric() {
         let a = bump(10, 30);
@@ -531,7 +312,7 @@ mod tests {
     fn containing_series_matches_its_pattern() {
         let series = bump(40, 100);
         let pattern = series[30..55].to_vec();
-        let f = transform_series(&series, &[pattern], false, true);
+        let f = row(&series, &[pattern], false, true);
         assert!(f[0] < 1e-9, "{f:?}");
     }
 
@@ -539,7 +320,7 @@ mod tests {
     fn transform_width_equals_pattern_count() {
         let series = bump(10, 64);
         let pats = vec![bump(3, 10), bump(5, 12), bump(7, 20)];
-        let f = transform_series(&series, &pats, false, true);
+        let f = row(&series, &pats, false, true);
         assert_eq!(f.len(), 3);
         assert!(f.iter().all(|v| v.is_finite()));
     }
@@ -548,7 +329,7 @@ mod tests {
     fn oversized_pattern_stays_finite() {
         let series = bump(5, 16);
         let pattern = bump(30, 64);
-        let f = transform_series(&series, &[pattern], false, true);
+        let f = row(&series, &[pattern], false, true);
         assert!(f[0].is_finite());
     }
 
@@ -560,8 +341,8 @@ mod tests {
         let series = bump(50, 100);
         let pattern = series[38..63].to_vec();
         let severed = rpm_ts::rotate(&series, 50); // cut through the bump
-        let plain = transform_series(&severed, std::slice::from_ref(&pattern), false, true);
-        let invariant = transform_series(&severed, &[pattern], true, true);
+        let plain = row(&severed, std::slice::from_ref(&pattern), false, true);
+        let invariant = row(&severed, &[pattern], true, true);
         assert!(invariant[0] < 1e-6, "{invariant:?}");
         assert!(
             plain[0] > invariant[0] + 0.05,
@@ -573,88 +354,92 @@ mod tests {
     fn rotation_invariant_distance_never_exceeds_plain() {
         let series = bump(20, 80);
         let pats = vec![bump(4, 15), bump(9, 25)];
-        let plain = transform_series(&series, &pats, false, true);
-        let inv = transform_series(&series, &pats, true, true);
+        let plain = row(&series, &pats, false, true);
+        let inv = row(&series, &pats, true, true);
         for (p, i) in plain.iter().zip(&inv) {
             assert!(i <= p, "invariant must take the min: {i} > {p}");
         }
     }
 
     #[test]
-    fn transform_set_shape() {
-        let set = vec![bump(5, 40), bump(9, 40)];
-        let pats = vec![bump(3, 10)];
-        let t = transform_set(&set, &pats, false, true);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].len(), 1);
-    }
-
-    #[test]
     fn parallel_transform_matches_serial() {
         let set: Vec<Vec<f64>> = (0..17).map(|k| bump(5 + k, 60)).collect();
         let pats = vec![bump(3, 10), bump(7, 22)];
-        let serial = transform_set(&set, &pats, false, true);
-        for threads in [1usize, 2, 4, 32] {
-            let par = transform_set_parallel(&set, &pats, false, true, threads).unwrap();
+        let serial = rows_on(&set, &pats, false, true, &Engine::serial());
+        assert_eq!(serial.len(), 17);
+        assert_eq!(serial[0].len(), 2);
+        for threads in [2usize, 4, 32] {
+            let par = rows_on(&set, &pats, false, true, &Engine::new(threads));
             assert_eq!(serial, par, "threads = {threads}");
         }
+        assert!(rows_on(&[], &pats, false, true, &Engine::new(4)).is_empty());
     }
 
     #[test]
-    fn parallel_transform_handles_empty_set() {
-        let pats = vec![bump(3, 10)];
-        let par = transform_set_parallel(&[], &pats, false, true, 4).unwrap();
-        assert!(par.is_empty());
-    }
-
-    #[test]
-    fn cached_transform_matches_plain_for_both_rotations() {
+    fn cached_transform_matches_plain_for_every_kernel_and_rotation() {
         let set: Vec<Vec<f64>> = (0..9).map(|k| bump(4 + 3 * k, 48)).collect();
         let pats = vec![bump(2, 9), bump(6, 14), bump(3, 11)];
+        let kernels = [
+            MatchKernel::Rolling,
+            MatchKernel::Naive,
+            MatchKernel::Batched,
+        ];
         let cache = SaxCache::new(true);
-        for rotation in [false, true] {
-            let plain = transform_set(&set, &pats, rotation, true);
-            for threads in [1usize, 4] {
-                let ctx = Ctx::new(Engine::new(threads), &cache);
-                // Twice: cold (misses) then warm (all columns hit).
-                for _ in 0..2 {
-                    let got =
-                        transform_set_ctx(&set, &pats, rotation, true, MatchKernel::Rolling, &ctx)
-                            .unwrap();
-                    assert_eq!(plain, got, "rotation={rotation} threads={threads}");
+        for kernel in kernels {
+            for rotation in [false, true] {
+                let plans = prepare_patterns(&pats, kernel);
+                let plain = transform_set_plans_engine_counted(
+                    &set,
+                    &plans,
+                    rotation,
+                    true,
+                    &Engine::serial(),
+                    None,
+                )
+                .unwrap();
+                for threads in [1usize, 4] {
+                    let ctx = Ctx::new(Engine::new(threads), &cache);
+                    // Twice: cold (misses) then warm (all columns hit).
+                    for _ in 0..2 {
+                        let got =
+                            transform_set_ctx(&set, &pats, rotation, true, kernel, &ctx).unwrap();
+                        assert_eq!(
+                            plain, got,
+                            "{kernel:?} rotation={rotation} threads={threads}"
+                        );
+                    }
                 }
             }
         }
+        // Lookups run on the caller's thread, so the split is exact: each
+        // (kernel, rotation) misses its 3 columns once, then hits them on
+        // the 3 remaining calls.
         let stats = cache.stats();
-        assert_eq!(stats.misses, 6, "3 patterns x 2 rotation variants");
-        assert!(stats.hits >= 18, "repeats served from memory: {stats:?}");
+        assert_eq!(
+            stats.misses,
+            3 * 2 * 3,
+            "3 patterns x 2 rotations x 3 kernels"
+        );
+        assert_eq!(stats.hits, 3 * 2 * 3 * 3, "{stats:?}");
     }
 
     #[test]
-    fn plan_transforms_match_per_call_preparation() {
-        let set: Vec<Vec<f64>> = (0..7).map(|k| bump(6 + 2 * k, 52)).collect();
-        let pats = vec![bump(3, 11), bump(8, 19)];
-        let plans = prepare_patterns(&pats, MatchKernel::Rolling);
-        for s in &set {
-            assert_eq!(
-                transform_series(s, &pats, true, true),
-                transform_series_plans(s, &plans, true, true)
-            );
-        }
-    }
-
-    #[test]
-    fn naive_kernel_transform_agrees_with_rolling() {
+    fn kernels_agree_on_feature_rows() {
         let set: Vec<Vec<f64>> = (0..5).map(|k| bump(9 + 4 * k, 64)).collect();
-        let pats = vec![bump(4, 13), bump(2, 21)];
-        let rolling = prepare_patterns(&pats, MatchKernel::Rolling);
-        let naive = prepare_patterns(&pats, MatchKernel::Naive);
-        for s in &set {
-            let a = transform_series_plans(s, &rolling, false, true);
-            let b = transform_series_plans(s, &naive, false, true);
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() <= 1e-9 * x.abs().max(1.0), "{x} vs {y}");
-            }
+        let pats = vec![bump(4, 13), bump(2, 21), bump(6, 21)];
+        let engine = Engine::serial();
+        let rows = |kernel| {
+            let plans = prepare_patterns(&pats, kernel);
+            transform_set_plans_engine_counted(&set, &plans, true, true, &engine, None).unwrap()
+        };
+        let rolling = rows(MatchKernel::Rolling);
+        assert_eq!(rows(MatchKernel::Batched), rolling, "bit-identical");
+        for (a, b) in rolling
+            .iter()
+            .flatten()
+            .zip(rows(MatchKernel::Naive).iter().flatten())
+        {
+            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
         }
     }
 
@@ -681,7 +466,8 @@ mod tests {
         let pats = vec![bump(5, 16), bump(2, 24)];
         let plans = prepare_patterns(&pats, MatchKernel::Rolling);
         let engine = Engine::new(4);
-        let plain = transform_set_plans_engine(&set, &plans, true, true, &engine).unwrap();
+        let plain =
+            transform_set_plans_engine_counted(&set, &plans, true, true, &engine, None).unwrap();
         let counters = ScanCounters::new();
         let counted =
             transform_set_plans_engine_counted(&set, &plans, true, true, &engine, Some(&counters))
@@ -754,8 +540,8 @@ mod tests {
     fn early_abandon_matches_exhaustive() {
         let series = bump(33, 120);
         let pats = vec![bump(4, 17), bump(2, 9)];
-        let fast = transform_series(&series, &pats, false, true);
-        let slow = transform_series(&series, &pats, false, false);
+        let fast = row(&series, &pats, false, true);
+        let slow = row(&series, &pats, false, false);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((a - b).abs() < 1e-12);
         }

@@ -343,7 +343,8 @@ pub struct Metrics {
     /// `predict.batches` — predict-batch calls (serial or parallel).
     pub predict_batches: Counter,
     /// `predict.latency_ns` — end-to-end single-prediction latency
-    /// (transform + SVM argmax), fed by `RpmClassifier::predict`.
+    /// (transform + SVM argmax), fed per series by every
+    /// `RpmClassifier` predict entry point.
     pub predict_latency: Histogram,
     /// `predict.match_distance` — winning (argmin) closest-match distance
     /// per prediction, in millionths (distance × 10⁶ rounded down) so the
@@ -364,8 +365,9 @@ pub struct Metrics {
     /// `match.pruned_envelope` — windows killed by the PAA envelope
     /// bound (tier 2).
     pub match_pruned_envelope: Counter,
-    /// `match.pruned_sax` — windows killed by the optional SAX MINDIST
-    /// bound (tier 3).
+    /// `match.pruned_sax` — always 0: the cascade has no SAX MINDIST
+    /// tier. Registered so `rpm_match_pruned_sax_total` stays exported
+    /// for the dashboards and baselines that list it.
     pub match_pruned_sax: Counter,
     /// `match.stats_builds` — `RollingStats` constructions; the batched
     /// kernel's sharing shows up as `stats_builds ≪ searches`.

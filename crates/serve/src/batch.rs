@@ -236,7 +236,7 @@ pub(crate) fn process_batch(
             match &monitor {
                 // Drift armed: the observed variant derives one sketch
                 // sample per series from the same feature rows the SVM
-                // reads — labels stay bit-identical to the traced path.
+                // reads — labels stay bit-identical to the plain path.
                 Some(mon) => model
                     .predict_batch_observed(&refs, parallelism, Some(&counters))
                     .map(|observed| {
@@ -248,7 +248,7 @@ pub(crate) fn process_batch(
                             })
                             .collect::<Vec<usize>>()
                     }),
-                None => model.predict_batch_traced(&refs, parallelism, Some(&counters)),
+                None => model.predict_batch_with(&refs, parallelism, Some(&counters)),
             }
         }))
         .map_err(|_| "prediction panicked".to_string())

@@ -23,15 +23,7 @@
 //!    from rolling per-segment sums, re-initialized with a compensated
 //!    pass every [`BLOCK`] positions so drift never approaches the
 //!    pruning safety margin.
-//! 3. **SAX MINDIST bound** (optional) — the symbolic bound from the
-//!    Extreme-SAX line of work: per segment, the breakpoint-gap
-//!    distance between the pattern's and the window's SAX symbols
-//!    lower-bounds `|p̄ⱼ−w̄ⱼ|`, so `Σⱼ lenⱼ·cellⱼ² ` is admissible. It
-//!    is dominated by tier 2 under the shared segmentation (the gap
-//!    between two symbols' intervals never exceeds the distance between
-//!    values inside them), so it is off by default and exists for
-//!    ablation and as a property-tested bridge to `rpm-sax`.
-//! 4. **Exact distance** — the *same* fused accumulation the rolling
+//! 3. **Exact distance** — the *same* fused accumulation the rolling
 //!    kernel runs ([`MatchPlan::fused_early_abandon`] /
 //!    [`MatchPlan::fused_exhaustive`]), against the same per-pattern
 //!    best-so-far cutoff.
@@ -56,7 +48,7 @@
 //!   (`lb ≤ d²`), and the deflation factors absorb the floating-point
 //!   slack between a bound and the exact loop's rounding (≤ ~(n+2)·ε
 //!   relative for tier 1, whose terms are bitwise addends of the exact
-//!   sum; tiers 2–3 carry independent rounding and get a wider margin).
+//!   sum; tier 2 carries independent rounding and gets a wider margin).
 //!   So a pruned window satisfies `d²_fl ≥ best_sq` — and since the
 //!   rolling kernel updates its best strictly (`d_sq < best_sq`), that
 //!   window could not have changed the best there either.
@@ -71,16 +63,26 @@
 //! [`BatchedMatch::audit`], i.e. against the production bound
 //! computation including its rolling segment sums) on random and
 //! adversarial inputs.
+//!
+//! # Kernel choice
+//!
+//! `BatchedMatch::build` is the one place a plan's [`MatchKernel`]
+//! picks an implementation for a pattern set: `Batched` plans join the
+//! cascade, while `Rolling`, `Naive` and degenerate (constant) plans
+//! take the per-pattern fallback through
+//! [`MatchPlan::best_match_counted`], which honours their kernel.
+//! Callers hand every plan slice to a `BatchedMatch` and never branch on
+//! the kernel themselves.
 
 use crate::matching::{BestMatch, MatchKernel, MatchPlan, ScanCounters};
 use crate::norm::ZNORM_EPSILON;
 use crate::stats::{CompensatedSum, RollingStats};
 use std::sync::atomic::Ordering;
 
-/// Number of PAA segments for the envelope (and SAX) bound.
+/// Number of PAA segments for the envelope bound.
 pub const ENVELOPE_SEGMENTS: usize = 8;
 
-/// Patterns shorter than this skip tiers 2–3: with fewer than two
+/// Patterns shorter than this skip tier 2: with fewer than two
 /// points per segment the envelope degenerates toward the exact
 /// distance it is supposed to be cheaper than.
 pub const MIN_ENVELOPE_LEN: usize = 16;
@@ -94,11 +96,11 @@ const BLOCK: usize = 256;
 /// relative); 1e-9 covers patterns up to ~10⁶ points.
 const TIER1_DEFLATE: f64 = 1.0 - 1e-9;
 
-/// Tier-2/3 deflation: segment means come from independently rounded
+/// Tier-2 deflation: segment means come from independently rounded
 /// rolling sums, so the margin is wider. Pruning power lost is
 /// negligible (a bound this close to the best is about to be beaten by
 /// the exact loop anyway).
-const TIER23_DEFLATE: f64 = 1.0 - 1e-7;
+const TIER2_DEFLATE: f64 = 1.0 - 1e-7;
 
 /// Plans of one shared length, flattened into contiguous per-pattern
 /// arrays for the cascade's inner loops.
@@ -115,20 +117,17 @@ struct LengthGroup {
     /// `zp[n-1]` per member (tier-1 stream).
     last: Vec<f64>,
     /// Segment boundaries `[start, end)` shared by every member.
-    /// Empty when `n < MIN_ENVELOPE_LEN` (tiers 2–3 skipped).
+    /// Empty when `n < MIN_ENVELOPE_LEN` (tier 2 skipped).
     seg: Vec<(u32, u32)>,
     /// Segment lengths as f64, aligned with `seg`.
     seg_len: Vec<f64>,
     /// Reciprocal segment lengths: the hot loops multiply by these
     /// instead of dividing (8 divisions per surviving position dominate
     /// the tier-2 cost otherwise). The ≤1-ulp difference vs division is
-    /// absorbed by `TIER23_DEFLATE`.
+    /// absorbed by `TIER2_DEFLATE`.
     seg_inv_len: Vec<f64>,
     /// PAA means of `zp`, `seg.len()` per member, row-major.
     paa: Vec<f64>,
-    /// SAX symbol per segment per member, row-major; empty when the
-    /// SAX tier is disabled.
-    sax: Vec<u8>,
 }
 
 /// A pattern set prepared for batched closest-match scans. Build once
@@ -138,17 +137,14 @@ struct LengthGroup {
 #[derive(Clone, Debug)]
 pub struct BatchedMatch {
     groups: Vec<LengthGroup>,
-    /// (original index, plan) pairs the cascade cannot serve —
-    /// degenerate (constant) patterns and plans pinned to the `Naive`
-    /// kernel — scanned per-pattern through `best_match_counted` so
-    /// their semantics (naive tie-breaking) are preserved exactly.
+    /// (original index, plan) pairs the cascade does not serve —
+    /// plans whose kernel is `Rolling` or `Naive`, and degenerate
+    /// (constant) patterns — scanned per-pattern through
+    /// `best_match_counted`, which dispatches on the plan's own kernel,
+    /// so their results and counters are exactly the per-pattern ones.
     fallback: Vec<(u32, MatchPlan)>,
     /// Total patterns (group members + fallbacks).
     count: usize,
-    /// Ascending SAX breakpoint cuts enabling tier 3; `None` disables
-    /// it. Injected (rather than imported from `rpm-sax`) because
-    /// `rpm-sax` depends on this crate.
-    sax_cuts: Option<Vec<f64>>,
 }
 
 /// Per-(pattern, window) bound/exact observations from
@@ -165,44 +161,34 @@ pub struct LbAudit {
     /// Tier-2 squared bound, `None` when the tier is skipped for this
     /// pattern length.
     pub lb_envelope: Option<f64>,
-    /// Tier-3 squared bound, `None` when SAX cuts are absent or the
-    /// tier is skipped.
-    pub lb_sax: Option<f64>,
     /// The exact squared distance (exhaustive fused accumulation).
     pub exact: f64,
 }
 
 impl BatchedMatch {
-    /// Prepares `plans` for batched scans, SAX tier disabled.
+    /// Prepares `plans` for batched scans.
     pub fn new(plans: &[MatchPlan]) -> Self {
-        Self::with_sax_cuts(plans, None)
+        Self::build(plans.iter(), plans.len())
     }
 
     /// [`new`](Self::new) over borrowed plans — for callers batching a
     /// filtered subset (e.g. the dedup scan) without cloning it into a
     /// contiguous slice first.
     pub fn from_refs(plans: &[&MatchPlan]) -> Self {
-        Self::build(plans.iter().copied(), plans.len(), None)
+        Self::build(plans.iter().copied(), plans.len())
     }
 
-    /// Prepares `plans` with an optional SAX tier defined by ascending
-    /// breakpoint `cuts` (as produced by `rpm_sax::breakpoints`).
-    pub fn with_sax_cuts(plans: &[MatchPlan], cuts: Option<Vec<f64>>) -> Self {
-        Self::build(plans.iter(), plans.len(), cuts)
-    }
-
-    fn build<'a>(
-        plans: impl Iterator<Item = &'a MatchPlan>,
-        count: usize,
-        cuts: Option<Vec<f64>>,
-    ) -> Self {
+    /// Sorts plans by kernel: `Batched` plans are grouped by length for
+    /// the cascade; `Rolling`, `Naive` and degenerate plans go to the
+    /// per-pattern fallback (see the module docs, "Kernel choice").
+    fn build<'a>(plans: impl Iterator<Item = &'a MatchPlan>, count: usize) -> Self {
         let mut groups: Vec<LengthGroup> = Vec::new();
         let mut fallback = Vec::new();
         for (i, plan) in plans.enumerate() {
             if plan.is_empty() {
                 continue; // matches per-pattern behavior: None at call time
             }
-            if plan.degenerate || plan.kernel() == MatchKernel::Naive {
+            if plan.degenerate || plan.kernel() != MatchKernel::Batched {
                 fallback.push((i as u32, plan.clone()));
                 continue;
             }
@@ -210,17 +196,16 @@ impl BatchedMatch {
             let group = match groups.iter_mut().find(|g| g.n == n) {
                 Some(g) => g,
                 None => {
-                    groups.push(LengthGroup::empty(n, cuts.is_some()));
+                    groups.push(LengthGroup::empty(n));
                     groups.last_mut().unwrap()
                 }
             };
-            group.push(i as u32, plan, cuts.as_deref());
+            group.push(i as u32, plan);
         }
         Self {
             groups,
             fallback,
             count,
-            sax_cuts: cuts,
         }
     }
 
@@ -235,11 +220,6 @@ impl BatchedMatch {
         self.count == 0
     }
 
-    /// True when the SAX MINDIST tier is active.
-    pub fn sax_enabled(&self) -> bool {
-        self.sax_cuts.is_some()
-    }
-
     /// Finds the closest match of every pattern inside `series` in one
     /// pass per pattern length. The result is indexed like the plan
     /// slice the set was built from; an entry is `None` exactly when
@@ -248,8 +228,8 @@ impl BatchedMatch {
     ///
     /// Bit-identical to calling
     /// [`MatchPlan::best_match`](crate::matching::MatchPlan::best_match)
-    /// per pattern with the rolling kernel (naive for degenerate /
-    /// `Naive`-pinned plans).
+    /// per pattern: grouped `Batched` plans equal the rolling kernel,
+    /// and fallback plans run their own kernel.
     pub fn match_all(
         &self,
         series: &[f64],
@@ -273,13 +253,7 @@ impl BatchedMatch {
                     group.plans[0].best_match_counted(series, early_abandon, counters);
                 continue;
             }
-            group.scan(
-                series,
-                early_abandon,
-                self.sax_cuts.as_deref(),
-                &mut tally,
-                &mut out,
-            );
+            group.scan(series, early_abandon, &mut tally, &mut out);
         }
         tally.publish(counters, started);
         out
@@ -294,7 +268,7 @@ impl BatchedMatch {
     pub fn audit(&self, series: &[f64]) -> Vec<LbAudit> {
         let mut rows = Vec::new();
         for group in &self.groups {
-            group.audit(series, self.sax_cuts.as_deref(), &mut rows);
+            group.audit(series, &mut rows);
         }
         rows
     }
@@ -308,7 +282,6 @@ struct Tally {
     abandoned: u64,
     pruned_first_last: u64,
     pruned_envelope: u64,
-    pruned_sax: u64,
     stats_builds: u64,
 }
 
@@ -320,7 +293,6 @@ impl Tally {
         m.match_abandoned.add(self.abandoned);
         m.match_pruned_first_last.add(self.pruned_first_last);
         m.match_pruned_envelope.add(self.pruned_envelope);
-        m.match_pruned_sax.add(self.pruned_sax);
         m.match_stats_builds.add(self.stats_builds);
         if let (Some(c), Some(t0)) = (counters, started) {
             c.searches.fetch_add(self.searches, Ordering::Relaxed);
@@ -330,7 +302,6 @@ impl Tally {
                 .fetch_add(self.pruned_first_last, Ordering::Relaxed);
             c.pruned_envelope
                 .fetch_add(self.pruned_envelope, Ordering::Relaxed);
-            c.pruned_sax.fetch_add(self.pruned_sax, Ordering::Relaxed);
             c.stats_builds
                 .fetch_add(self.stats_builds, Ordering::Relaxed);
             c.match_ns
@@ -340,7 +311,7 @@ impl Tally {
 }
 
 impl LengthGroup {
-    fn empty(n: usize, sax: bool) -> Self {
+    fn empty(n: usize) -> Self {
         let seg = if n >= MIN_ENVELOPE_LEN {
             segment_bounds(n, ENVELOPE_SEGMENTS)
         } else {
@@ -348,7 +319,6 @@ impl LengthGroup {
         };
         let seg_len: Vec<f64> = seg.iter().map(|&(s, e)| (e - s) as f64).collect();
         let seg_inv_len: Vec<f64> = seg_len.iter().map(|&l| 1.0 / l).collect();
-        let _ = sax;
         Self {
             n,
             idx: Vec::new(),
@@ -359,11 +329,10 @@ impl LengthGroup {
             seg_len,
             seg_inv_len,
             paa: Vec::new(),
-            sax: Vec::new(),
         }
     }
 
-    fn push(&mut self, idx: u32, plan: &MatchPlan, cuts: Option<&[f64]>) {
+    fn push(&mut self, idx: u32, plan: &MatchPlan) {
         let zp = plan.znormed();
         self.idx.push(idx);
         self.first.push(zp[0]);
@@ -373,23 +342,19 @@ impl LengthGroup {
             for &v in &zp[s as usize..e as usize] {
                 sum.add(v);
             }
-            let mean = sum.value() / (e - s) as f64;
-            self.paa.push(mean);
-            if let Some(cuts) = cuts {
-                self.sax.push(symbol(mean, cuts));
-            }
+            self.paa.push(sum.value() / (e - s) as f64);
         }
         self.plans.push(plan.clone());
     }
 
     /// The cascade scan: one `RollingStats` build, then per position a
     /// K-wide tier-1 pass over the contiguous first/last streams,
-    /// falling through per pattern to tiers 2–4.
+    /// falling through per pattern to the envelope bound and the exact
+    /// distance.
     fn scan(
         &self,
         series: &[f64],
         early_abandon: bool,
-        cuts: Option<&[f64]>,
         tally: &mut Tally,
         out: &mut [Option<BestMatch>],
     ) {
@@ -509,16 +474,9 @@ impl LengthGroup {
                         paa_ready = true;
                     }
                     let lb2 = self.envelope_lb(k, &paa_w);
-                    if lb2 * TIER23_DEFLATE > best_sq[k] {
+                    if lb2 * TIER2_DEFLATE > best_sq[k] {
                         tally.pruned_envelope += 1;
                         continue;
-                    }
-                    if let Some(cuts) = cuts {
-                        let lb3 = self.sax_lb(k, &paa_w, cuts);
-                        if lb3 * TIER23_DEFLATE > best_sq[k] {
-                            tally.pruned_sax += 1;
-                            continue;
-                        }
                     }
                 }
                 let plan = &self.plans[k];
@@ -603,22 +561,7 @@ impl LengthGroup {
         lb
     }
 
-    /// Tier-3 squared bound for member `k`: per segment, the gap
-    /// between the pattern's symbol interval and the window's.
-    #[inline]
-    fn sax_lb(&self, k: usize, paa_w: &[f64], cuts: &[f64]) -> f64 {
-        let b = self.seg.len();
-        let row = &self.sax[k * b..(k + 1) * b];
-        let mut lb = 0.0;
-        for (j, (&sp, &wm)) in row.iter().zip(paa_w).enumerate() {
-            let sw = symbol(wm, cuts);
-            let cell = symbol_gap(sp, sw, cuts);
-            lb += self.seg_len[j] * cell * cell;
-        }
-        lb
-    }
-
-    fn audit(&self, series: &[f64], cuts: Option<&[f64]>, rows: &mut Vec<LbAudit>) {
+    fn audit(&self, series: &[f64], rows: &mut Vec<LbAudit>) {
         let n = self.n;
         if self.plans.is_empty() || n > series.len() {
             return;
@@ -650,7 +593,6 @@ impl LengthGroup {
                     position: p,
                     lb_first_last: d0 * d0 + dl * dl,
                     lb_envelope: (b > 0).then(|| self.envelope_lb(k, &paa_w)),
-                    lb_sax: cuts.filter(|_| b > 0).map(|c| self.sax_lb(k, &paa_w, c)),
                     exact: self.plans[k].fused_exhaustive(w, mu, inv),
                 });
             }
@@ -694,7 +636,7 @@ impl<'a> SegSums<'a> {
     /// gaps — triggers an exact compensated rebuild. Slides therefore
     /// never span more than [`BLOCK`] consecutive positions between
     /// rebuilds, which keeps the incremental drift inside the
-    /// [`TIER23_DEFLATE`] pruning margin.
+    /// [`TIER2_DEFLATE`] pruning margin.
     #[inline]
     fn at(&mut self, p: usize) {
         let catchup = self.pos != usize::MAX
@@ -729,29 +671,9 @@ fn segment_bounds(n: usize, b: usize) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// SAX symbol of `value` under ascending breakpoint `cuts`: the number
-/// of cuts at or below it.
-#[inline]
-fn symbol(value: f64, cuts: &[f64]) -> u8 {
-    cuts.partition_point(|&c| c <= value) as u8
-}
-
-/// The MINDIST cell: the gap between two symbols' value intervals
-/// (0 for equal or adjacent symbols).
-#[inline]
-fn symbol_gap(a: u8, b: u8, cuts: &[f64]) -> f64 {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    if hi - lo < 2 {
-        0.0
-    } else {
-        cuts[hi as usize - 1] - cuts[lo as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::prepare_pattern;
 
     fn pseudo_random_series(len: usize, mut state: u64) -> Vec<f64> {
         let mut out = Vec::with_capacity(len);
@@ -764,10 +686,14 @@ mod tests {
         out
     }
 
+    fn batched_plan(pattern: &[f64]) -> MatchPlan {
+        MatchPlan::with_kernel(pattern, MatchKernel::Batched)
+    }
+
     fn plans_from(series: &[f64], spans: &[(usize, usize)]) -> Vec<MatchPlan> {
         spans
             .iter()
-            .map(|&(s, l)| prepare_pattern(&series[s..s + l]))
+            .map(|&(s, l)| batched_plan(&series[s..s + l]))
             .collect()
     }
 
@@ -789,7 +715,7 @@ mod tests {
     fn duplicate_and_degenerate_patterns_resolve_like_their_plans() {
         let series = pseudo_random_series(300, 7);
         let mut plans = plans_from(&series, &[(50, 24), (50, 24)]);
-        plans.push(prepare_pattern(&[3.3; 24])); // degenerate → naive fallback
+        plans.push(batched_plan(&[3.3; 24])); // degenerate → naive fallback
         plans.push(MatchPlan::with_kernel(&series[80..104], MatchKernel::Naive));
         let batched = BatchedMatch::new(&plans);
         let got = batched.match_all(&series, true, None);
@@ -803,9 +729,9 @@ mod tests {
     fn oversized_and_empty_patterns_yield_none() {
         let series = pseudo_random_series(40, 9);
         let plans = vec![
-            prepare_pattern(&pseudo_random_series(64, 10)), // longer than series
-            prepare_pattern(&[]),
-            prepare_pattern(&series[5..25]),
+            batched_plan(&pseudo_random_series(64, 10)), // longer than series
+            batched_plan(&[]),
+            batched_plan(&series[5..25]),
         ];
         let batched = BatchedMatch::new(&plans);
         assert_eq!(batched.len(), 3);
@@ -839,32 +765,30 @@ mod tests {
     }
 
     #[test]
-    fn sax_tier_is_admissible_and_preserves_results() {
-        let series = pseudo_random_series(400, 0xCAB);
-        let plans = plans_from(&series, &[(30, 48), (150, 48)]);
-        // Cuts shaped like rpm_sax::breakpoints(4).
-        let cuts = vec![-0.6744897501960817, 0.0, 0.6744897501960817];
-        let plain = BatchedMatch::new(&plans);
-        let saxed = BatchedMatch::with_sax_cuts(&plans, Some(cuts));
-        assert!(saxed.sax_enabled() && !plain.sax_enabled());
-        assert_eq!(
-            plain.match_all(&series, true, None),
-            saxed.match_all(&series, true, None)
-        );
-        for row in saxed.audit(&series) {
-            let slack = 1e-9 * row.exact.max(1.0);
-            assert!(row.lb_first_last <= row.exact + slack, "{row:?}");
-            if let Some(lb) = row.lb_envelope {
-                assert!(lb <= row.exact + 1e-7 * row.exact.max(1.0), "{row:?}");
-            }
-            if let Some(lb) = row.lb_sax {
-                assert!(lb <= row.exact + 1e-7 * row.exact.max(1.0), "{row:?}");
-                assert!(
-                    lb <= row.lb_envelope.unwrap() + 1e-7,
-                    "SAX is dominated by the envelope: {row:?}"
-                );
-            }
+    fn non_batched_plans_take_the_per_pattern_fallback() {
+        // The set honours each plan's kernel: Rolling plans never join
+        // the cascade, so every one builds its own statistics and
+        // nothing is pruned, with results identical to the plan's own.
+        let series = pseudo_random_series(400, 0xF00);
+        let spans = [(0, 40), (60, 40), (200, 40)];
+        let plans: Vec<MatchPlan> = spans
+            .iter()
+            .map(|&(s, l)| MatchPlan::with_kernel(&series[s..s + l], MatchKernel::Rolling))
+            .collect();
+        let counters = ScanCounters::new();
+        let got = BatchedMatch::new(&plans).match_all(&series, true, Some(&counters));
+        for (plan, got) in plans.iter().zip(&got) {
+            assert_eq!(plan.best_match(&series, true), *got);
         }
+        let stats = counters.snapshot();
+        assert_eq!(stats.searches, 3);
+        assert_eq!(stats.stats_builds, 3, "one RollingStats per rolling plan");
+        assert_eq!(stats.pruned_total(), 0);
+        // The same patterns as Batched plans share one build and prune.
+        let counters = ScanCounters::new();
+        let cascade = BatchedMatch::new(&plans_from(&series, &spans));
+        assert_eq!(cascade.match_all(&series, true, Some(&counters)), got);
+        assert_eq!(counters.snapshot().stats_builds, 1);
     }
 
     #[test]
@@ -878,16 +802,5 @@ mod tests {
                 assert!(w[0].0 < w[0].1);
             }
         }
-    }
-
-    #[test]
-    fn symbol_gap_matches_mindist_cells() {
-        let cuts = [-0.5, 0.0, 0.5];
-        assert_eq!(symbol(-1.0, &cuts), 0);
-        assert_eq!(symbol(-0.5, &cuts), 1);
-        assert_eq!(symbol(0.75, &cuts), 3);
-        assert_eq!(symbol_gap(1, 2, &cuts), 0.0);
-        assert_eq!(symbol_gap(0, 2, &cuts), 0.5);
-        assert_eq!(symbol_gap(3, 0, &cuts), 1.0);
     }
 }

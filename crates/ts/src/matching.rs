@@ -75,7 +75,8 @@ pub struct ScanCounters {
     pub pruned_first_last: AtomicU64,
     /// Windows killed by the PAA envelope bound (tier 2).
     pub pruned_envelope: AtomicU64,
-    /// Windows killed by the optional SAX MINDIST bound (tier 3).
+    /// Always 0: the cascade has no SAX MINDIST tier. Kept so reports,
+    /// dashboards and trace attributes that name the field still parse.
     pub pruned_sax: AtomicU64,
     /// `RollingStats` constructions: once per scan for the rolling
     /// kernel, once per (series, pattern length) for the batched kernel
@@ -120,7 +121,7 @@ pub struct ScanStats {
     pub pruned_first_last: u64,
     /// Windows killed by the PAA envelope bound (cascade tier 2).
     pub pruned_envelope: u64,
-    /// Windows killed by the SAX MINDIST bound (cascade tier 3).
+    /// Always 0 (see [`ScanCounters::pruned_sax`]).
     pub pruned_sax: u64,
     /// `RollingStats` constructions performed.
     pub stats_builds: u64,
@@ -178,8 +179,8 @@ pub enum MatchKernel {
     Naive,
     /// The pattern-set × series cascade kernel (the default): shared
     /// `RollingStats` per series, per-window lower-bound pruning
-    /// (first/last z-values, PAA envelope, optional SAX MINDIST)
-    /// before the exact rolling accumulation. Bit-identical to
+    /// (first/last z-values, PAA envelope) before the exact rolling
+    /// accumulation. Bit-identical to
     /// [`Rolling`](Self::Rolling) — a single-pattern scan through a
     /// `Batched` plan dispatches to the rolling scan, and the batched
     /// entry point ([`crate::batched::BatchedMatch`]) only ever prunes

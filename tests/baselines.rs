@@ -108,14 +108,12 @@ fn any_classifier_works_on_rpm_features() {
     // §3.1: the transformed space works with any classifier. Train RPM
     // once, reuse its features with SVM (built in), kNN, logistic, and
     // the RBF kernel SVM; all must beat chance clearly.
-    use rpm::core::transform_set;
     use rpm::ml::{KernelSvm, KernelSvmParams};
     use rpm::ml::{Knn, Logistic, LogisticParams};
     let (train, test) = small("CBF", 18, 30);
     let model = RpmClassifier::train(&train, &RpmConfig::fixed(SaxConfig::new(24, 4, 4))).unwrap();
-    let values: Vec<Vec<f64>> = model.patterns().iter().map(|p| p.values.clone()).collect();
-    let train_f = transform_set(&train.series, &values, false, true);
-    let test_f = transform_set(&test.series, &values, false, true);
+    let train_f: Vec<Vec<f64>> = train.series.iter().map(|s| model.transform(s)).collect();
+    let test_f: Vec<Vec<f64>> = test.series.iter().map(|s| model.transform(s)).collect();
 
     let svm_err = error_rate(&test.labels, &model.predict_batch(&test.series));
     let knn = Knn::train(&train_f, &train.labels, 3);

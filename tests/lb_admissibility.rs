@@ -7,11 +7,12 @@
 //! cascade can see. These tests drive [`rpm::ts::BatchedMatch::audit`] —
 //! which recomputes each tier's bound exactly as the production scan does
 //! alongside the exhaustive exact distance — over random and adversarial
-//! inputs, and assert the inequality for every tier at every window.
+//! inputs, and assert the inequality for both bound tiers at every
+//! window.
 //!
 //! All quantities are *squared un-normalized* distances, matching the
 //! cascade's internal accumulator. Tolerance mirrors the production
-//! deflation guards (`TIER1_DEFLATE`/`TIER23_DEFLATE` in
+//! deflation guards (`TIER1_DEFLATE`/`TIER2_DEFLATE` in
 //! `crates/ts/src/batched.rs`): a bound may exceed the exact value only
 //! by floating-point rounding, never materially.
 //!
@@ -19,11 +20,10 @@
 //! budget); the nightly CI sweep runs with `PROPTEST_CASES=2048`.
 
 use proptest::prelude::*;
-use rpm::sax::breakpoints;
 use rpm::ts::{BatchedMatch, MatchKernel, MatchPlan};
 
 /// Relative slack granted for bound-vs-exact comparison: the production
-/// cascade deflates tier-2/3 bounds by `1e-7` before pruning, so a bound
+/// cascade deflates tier-2 bounds by `1e-7` before pruning, so a bound
 /// is admissible-in-practice iff it stays within this band of the exact
 /// value. Tier 1's terms are bitwise addends of the exact sum, but the
 /// audit recomputes them from the same rolling stats the scan uses, so
@@ -43,16 +43,14 @@ fn admissible(lb: f64, exact: f64) -> bool {
     lb <= exact * (1.0 + REL_SLACK) + ABS_SLACK
 }
 
-/// Build a SAX-enabled batched set and audit it over `series`, asserting
-/// every tier's bound is admissible at every (pattern, window) pair and
-/// that tier 3 never exceeds tier 2 (MINDIST over shared segmentation is
-/// dominated by the envelope bound).
+/// Build a batched set and audit it over `series`, asserting every
+/// tier's bound is admissible at every (pattern, window) pair.
 fn assert_all_tiers_admissible(patterns: &[Vec<f64>], series: &[f64]) {
     let plans: Vec<MatchPlan> = patterns
         .iter()
         .map(|p| MatchPlan::with_kernel(p, MatchKernel::Batched))
         .collect();
-    let set = BatchedMatch::with_sax_cuts(&plans, Some(breakpoints(8)));
+    let set = BatchedMatch::new(&plans);
     for row in set.audit(series) {
         assert!(
             admissible(row.lb_first_last, row.exact),
@@ -71,24 +69,6 @@ fn assert_all_tiers_admissible(patterns: &[Vec<f64>], series: &[f64]) {
                 lb2,
                 row.exact
             );
-            if let Some(lb3) = row.lb_sax {
-                assert!(
-                    admissible(lb3, row.exact),
-                    "tier 3 inadmissible: pattern {} pos {}: lb {:.17e} > exact {:.17e}",
-                    row.pattern,
-                    row.position,
-                    lb3,
-                    row.exact
-                );
-                assert!(
-                    lb3 <= lb2 * (1.0 + REL_SLACK) + ABS_SLACK,
-                    "tier 3 not dominated by tier 2: pattern {} pos {}: sax {:.17e} > envelope {:.17e}",
-                    row.pattern,
-                    row.position,
-                    lb3,
-                    lb2
-                );
-            }
         }
     }
 }
@@ -193,7 +173,7 @@ proptest! {
         assert_all_tiers_admissible(std::slice::from_ref(&pattern), &series);
 
         let plans = vec![MatchPlan::with_kernel(&pattern, MatchKernel::Batched)];
-        let set = BatchedMatch::with_sax_cuts(&plans, Some(breakpoints(8)));
+        let set = BatchedMatch::new(&plans);
         let at_match: Vec<_> = set
             .audit(&series)
             .into_iter()

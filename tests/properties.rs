@@ -2,11 +2,22 @@
 //! inputs, spanning the SAX → grammar → candidate → transform pipeline.
 
 use proptest::prelude::*;
-use rpm::core::{pattern_distance, transform_series};
+use rpm::core::{
+    pattern_distance, prepare_patterns, transform_set_plans_engine_counted, Engine, MatchKernel,
+};
 use rpm::grammar::infer;
 use rpm::sax::{discretize, SaxConfig};
 use rpm::ts::{paa, rotate, znorm};
 use rpm_baselines::dtw_distance;
+
+/// One series' feature row against `patterns` (default kernel).
+fn transform_series(series: &[f64], patterns: &[Vec<f64>], rotation_invariant: bool) -> Vec<f64> {
+    let plans = prepare_patterns(patterns, MatchKernel::default());
+    let engine = Engine::serial();
+    transform_set_plans_engine_counted(&[series], &plans, rotation_invariant, true, &engine, None)
+        .expect("serial transform runs no workers")
+        .remove(0)
+}
 
 /// Random-walk series generator (realistic autocorrelation).
 fn random_walk(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -72,8 +83,8 @@ proptest! {
         p2 in random_walk(20),
     ) {
         let pats = vec![p1, p2];
-        let plain = transform_series(&series, &pats, false, true);
-        let inv = transform_series(&series, &pats, true, true);
+        let plain = transform_series(&series, &pats, false);
+        let inv = transform_series(&series, &pats, true);
         for (a, b) in inv.iter().zip(&plain) {
             prop_assert!(a <= b);
         }
@@ -110,7 +121,7 @@ proptest! {
     fn transform_features_are_finite(series in random_walk(60), p in random_walk(90)) {
         // Pattern deliberately longer than the series to hit the
         // resampling fallback too.
-        let f = transform_series(&series, &[p], false, true);
+        let f = transform_series(&series, &[p], false);
         prop_assert!(f[0].is_finite());
         prop_assert!(f[0] >= 0.0);
     }

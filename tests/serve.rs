@@ -19,6 +19,10 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+/// Serializes the tests of this file. Fault plans are process-global, so
+/// while one test has `serve.request` armed, any other test's request in
+/// the same process would draw the injected fault; every test holds the
+/// gate for its whole run.
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|e| e.into_inner())
@@ -123,6 +127,7 @@ fn label_of(response: &str) -> usize {
 
 #[test]
 fn concurrent_clients_match_offline_predictions_bit_for_bit() {
+    let _g = gate();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
@@ -154,6 +159,7 @@ fn concurrent_clients_match_offline_predictions_bit_for_bit() {
 
 #[test]
 fn multi_series_requests_answer_in_order_with_ids() {
+    let _g = gate();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
@@ -183,6 +189,7 @@ fn multi_series_requests_answer_in_order_with_ids() {
 
 #[test]
 fn expired_deadlines_answer_the_documented_504_code() {
+    let _g = gate();
     let (model, test) = trained();
     let config = ServeConfig {
         deadline: Duration::from_millis(0),
@@ -201,6 +208,7 @@ fn expired_deadlines_answer_the_documented_504_code() {
 
 #[test]
 fn overload_sheds_with_429_and_retry_after() {
+    let _g = gate();
     let (model, test) = trained();
     let config = ServeConfig {
         // One worker holding batches open, a one-series queue: the
@@ -243,6 +251,7 @@ fn overload_sheds_with_429_and_retry_after() {
 
 #[test]
 fn v1_models_are_refused_without_allow_unverified() {
+    let _g = gate();
     let (model, _) = trained();
     let mut v1 = Vec::new();
     model.save_v1(&mut v1).expect("save v1");
@@ -318,6 +327,7 @@ fn trace_dur(trace_line: &str) -> u64 {
 
 #[test]
 fn deadline_miss_leaves_a_retained_trace_with_queue_wait() {
+    let _g = gate();
     let (model, test) = trained();
     let config = ServeConfig {
         // deadline < batch_window < deadline + 50ms handler grace: the
@@ -370,6 +380,7 @@ fn deadline_miss_leaves_a_retained_trace_with_queue_wait() {
 
 #[test]
 fn bad_requests_still_carry_trace_identity() {
+    let _g = gate();
     let (model, _) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
@@ -397,6 +408,7 @@ fn bad_requests_still_carry_trace_identity() {
 
 #[test]
 fn concurrent_traces_share_a_batch_and_exemplars_resolve() {
+    let _g = gate();
     let (model, test) = trained();
     let config = ServeConfig {
         // One worker and a wide window force the concurrent requests
@@ -499,6 +511,7 @@ fn concurrent_traces_share_a_batch_and_exemplars_resolve() {
 
 #[test]
 fn loadgen_reports_against_a_live_server() {
+    let _g = gate();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let report = rpm::serve::run_load(&LoadConfig {
